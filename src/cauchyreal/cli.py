@@ -2,7 +2,8 @@
 
 Output is line-oriented key=value pairs on stdout; errors go to stderr in the
 same shape.  Exit codes: 0 for a computed verdict (including unknown), 1 for
-input that does not parse, 2 for a division that cannot certify its
+input that does not parse or a bad command line (such as a negative --prec,
+--fuel or --witness-fuel), 2 for a division that cannot certify its
 denominator apart from zero.
 """
 
@@ -37,15 +38,19 @@ class Enclosure:
         return self.lo <= q <= self.hi
 
 
+def _witness_fuel(witness_fuel, steps):
+    """The division witness budget: witness_fuel if given, and otherwise
+    max(64, steps + 8), where steps is the precision exponent or the fuel."""
+    return witness_fuel if witness_fuel is not None else max(64, steps + 8)
+
+
 def evaluate_enclosure(text, prec_exponent, witness_fuel=None):
     """Parse text and enclose its value within radius 2**-prec_exponent.
 
     Returns the midpoint's enclosure [m - eps, m + eps] where m is the
     eps-approximant; both endpoints are exact rationals.
     """
-    if witness_fuel is None:
-        witness_fuel = max(64, prec_exponent + 8)
-    point = build_real(parse(text), witness_fuel)
+    point = build_real(parse(text), _witness_fuel(witness_fuel, prec_exponent))
     eps = dyadic(prec_exponent)
     mid = point.approximate(eps)
     return Enclosure(mid - eps, mid + eps)
@@ -93,30 +98,41 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _budget(text):
+    """argparse type of the precision and fuel flags: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected an integer >= 0, got %r" % text)
+    return value
+
+
 def _build_parser():
     parser = _ArgumentParser(prog="creal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate an expression to an enclosure")
     p_eval.add_argument("expr")
-    p_eval.add_argument("--prec", type=int, default=64, metavar="K",
+    p_eval.add_argument("--prec", type=_budget, default=64, metavar="K",
                         help="enclosure radius 2**-K (default 64)")
-    p_eval.add_argument("--witness-fuel", type=int, default=None, metavar="N",
+    p_eval.add_argument("--witness-fuel", type=_budget, default=None, metavar="N",
                         help="division witness search budget (default max(64, K+8))")
     p_eval.add_argument("--format", choices=["rational", "decimal", "both"],
                         default="both", dest="fmt")
 
     p_sign = sub.add_parser("sign", help="semi-decide the sign of an expression")
     p_sign.add_argument("expr")
-    p_sign.add_argument("--fuel", type=int, default=256, metavar="N",
+    p_sign.add_argument("--fuel", type=_budget, default=256, metavar="N",
                         help="sign search budget (default 256)")
-    p_sign.add_argument("--witness-fuel", type=int, default=None, metavar="N")
+    p_sign.add_argument("--witness-fuel", type=_budget, default=None, metavar="N")
 
     p_cmp = sub.add_parser("compare", help="semi-decide the order of two expressions")
     p_cmp.add_argument("a")
     p_cmp.add_argument("b")
-    p_cmp.add_argument("--fuel", type=int, default=256, metavar="N")
-    p_cmp.add_argument("--witness-fuel", type=int, default=None, metavar="N")
+    p_cmp.add_argument("--fuel", type=_budget, default=256, metavar="N")
+    p_cmp.add_argument("--witness-fuel", type=_budget, default=None, metavar="N")
 
     return parser
 
@@ -135,31 +151,24 @@ def cmd_eval(expr, prec, witness_fuel, fmt, out):
 
 
 def cmd_sign(expr, fuel, witness_fuel, out):
-    if witness_fuel is None:
-        witness_fuel = max(64, fuel + 8)
-    point = build_real(parse(expr), witness_fuel)
-    outcome = is_positive(point).run(fuel)
-    if outcome is PENDING:
-        verdict = "unknown"
-    else:
-        verdict = "positive" if outcome.value else "negative"
-    out.write("verdict=%s\n" % verdict)
-    out.write("fuel=%d\n" % fuel)
-    return EXIT_OK
+    point = build_real(parse(expr), _witness_fuel(witness_fuel, fuel))
+    return _write_verdict(out, is_positive(point).run(fuel), fuel, "positive", "negative")
 
 
 def cmd_compare(a, b, fuel, witness_fuel, out):
-    if witness_fuel is None:
-        witness_fuel = max(64, fuel + 8)
+    witness_fuel = _witness_fuel(witness_fuel, fuel)
     x = build_real(parse(a), witness_fuel)
     y = build_real(parse(b), witness_fuel)
     # Both orientations run at the same fuel; soundness of the strict
     # comparison means at most one can fire.
-    forward = compare_partial(x, y).run(fuel)
-    if forward is not PENDING:
-        verdict = "lt" if forward.value else "gt"
-    else:
+    return _write_verdict(out, compare_partial(x, y).run(fuel), fuel, "lt", "gt")
+
+
+def _write_verdict(out, outcome, fuel, if_true, if_false):
+    if outcome is PENDING:
         verdict = "unknown"
+    else:
+        verdict = if_true if outcome.value else if_false
     out.write("verdict=%s\n" % verdict)
     out.write("fuel=%d\n" % fuel)
     return EXIT_OK

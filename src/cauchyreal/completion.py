@@ -38,11 +38,10 @@ class CompletionPoint:
     exact inputs.  Instances are safe to share between threads.
     """
 
-    __slots__ = ("_approx", "_space", "exact", "_lock", "_best_eps", "_best_val")
+    __slots__ = ("_approx", "exact", "_lock", "_best_eps", "_best_val")
 
-    def __init__(self, approx, space, exact=None):
+    def __init__(self, approx, exact=None):
         self._approx = approx
-        self._space = space  # a carrier, or a thunk producing one on demand
         self.exact = exact
         self._lock = threading.Lock()
         self._best_eps = None
@@ -50,11 +49,8 @@ class CompletionPoint:
 
     @property
     def space(self):
-        if not isinstance(self._space, PremetricCarrier):
-            with self._lock:
-                if not isinstance(self._space, PremetricCarrier):
-                    self._space = self._space()
-        return self._space
+        """The carrier the approximants live in, read off the one at eps=1."""
+        return carrier(self.approximate(_ONE))
 
     def approximate(self, eps):
         """A base element within eps of the denoted point.  eps must be > 0."""
@@ -101,25 +97,24 @@ class CompletionSpace(PremetricCarrier):
         return "CompletionSpace(%r, fuel=%s)" % (self.base, self.fuel)
 
 
-def _infer_space(value):
+def carrier(value):
+    """The carrier of a base element: the rationals for a rational, and the
+    completion of the point's own carrier for a completed point."""
     if isinstance(value, Fraction):
         return RATIONALS
     if isinstance(value, CompletionPoint):
         return CompletionSpace(value.space)
-    return None
+    raise TypeError("no carrier for %r" % (value,))
 
 
-def eta(value, space=None):
+def eta(value):
     """Embed a base element as the constant approximation procedure.
 
-    The carrier is inferred for rationals and for completed points; anything
-    else needs an explicit space.
+    Only rationals and completed points are base elements; anything else
+    raises TypeError.
     """
-    if space is None:
-        space = _infer_space(value)
-        if space is None:
-            raise TypeError("cannot infer a carrier for %r; pass space=" % (value,))
-    return CompletionPoint(lambda eps: value, space, exact=value)
+    carrier(value)
+    return CompletionPoint(lambda eps: value, exact=value)
 
 
 def limit(x):
@@ -129,8 +124,7 @@ def limit(x):
     member is within eps/2 of the limit and the value within eps/2 of the
     member.  The caller is responsible for x actually being Cauchy.
     """
-    return CompletionPoint(lambda eps: x(eps / 2).approximate(eps / 2),
-                           lambda: x(_ONE).space)
+    return CompletionPoint(lambda eps: x(eps / 2).approximate(eps / 2))
 
 
 def close_semidecide(eps, x, y):
@@ -174,7 +168,7 @@ def extend_lipschitz(f):
         def approx(eps):
             return f(x.approximate(eps / (2 * constant))).approximate(eps / 2)
 
-        return CompletionPoint(approx, lambda: f(x.approximate(_ONE)).space)
+        return CompletionPoint(approx)
 
     return LipschitzFn(extension, constant)
 
@@ -199,19 +193,17 @@ def extend_lipschitz2(f, l1, l2):
             return f(x.approximate(eps / (4 * l2)),
                      y.approximate(eps / (4 * l1))).approximate(eps / 2)
 
-        return CompletionPoint(
-            approx, lambda: f(x.approximate(_ONE), y.approximate(_ONE)).space)
+        return CompletionPoint(approx)
 
     return extension
 
 
-def monad_map(f, space=None):
+def monad_map(f):
     """Functorial action: lift a Lipschitz base-to-base map to the completion.
 
-    Equal to the extension of eta composed with f.  Pass space when the
-    target carrier cannot be inferred from mapped values.
+    Equal to the extension of eta composed with f.
     """
-    return extend_lipschitz(LipschitzFn(lambda t: eta(f(t), space), f.constant))
+    return extend_lipschitz(LipschitzFn(lambda t: eta(f(t)), f.constant))
 
 
 def monad_join(x):
@@ -223,17 +215,7 @@ def monad_join(x):
     """
     if x.exact is not None:
         return x.exact
-
-    def approx(eps):
-        return x.approximate(eps / 2).approximate(eps / 2)
-
-    def space():
-        outer = x.space
-        if isinstance(outer, CompletionSpace):
-            return outer.base
-        return x.approximate(_ONE).space
-
-    return CompletionPoint(approx, space)
+    return CompletionPoint(lambda eps: x.approximate(eps / 2).approximate(eps / 2))
 
 
 def lim_pointwise(s):

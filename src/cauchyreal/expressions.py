@@ -13,16 +13,17 @@ Grammar, loosest binding first:
              | 'below' '(' signed literal ')'
              | '(' expr ')'
 
-NUMBER is an integer or an exact decimal (3.14 is the rational 157/50).  Two
-integer literals joined by '/' form a single rational literal, so 1/3 + 1/6
-adds two literals rather than dividing; '/' anywhere else is real division,
-which must certify its denominator apart from zero when evaluated.  A literal
-with denominator 0 falls back to division, so 1/0 fails at evaluation, not at
-parse time.
+NUMBER is an integer or an exact decimal (3.14 is the rational 157/50) in
+ASCII digits; names are ASCII letters.  Two integer literals joined by '/'
+form a single rational literal, so 1/3 + 1/6 adds two literals rather than
+dividing; '/' anywhere else is real division, which must certify its
+denominator apart from zero when evaluated.  A literal with denominator 0
+falls back to division, so 1/0 fails at evaluation, not at parse time.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from string import ascii_letters, digits
 
 from .completion import limit
 from .rational import format_rat
@@ -36,58 +37,54 @@ class RatLit:
 
 
 @dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
-    witness_fuel: int | None = None  # per-node override of the search budget
-
-
-@dataclass(frozen=True)
-class Max:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Min:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Abs:
-    operand: object
-
-
-@dataclass(frozen=True)
 class FromBelow:
     """The canonical strictly-increasing approximation of a rational:
     the limit of eps -> value - eps.  Denotes value, but never reports it
     exactly, which makes it the stock generic-path test subject."""
     value: Fraction
+
+
+@dataclass(frozen=True)
+class _Unary:
+    operand: object
+
+
+@dataclass(frozen=True)
+class _Binary:
+    left: object
+    right: object
+
+
+class Neg(_Unary):
+    """-operand"""
+
+
+class Abs(_Unary):
+    """|operand|"""
+
+
+class Add(_Binary):
+    """left + right"""
+
+
+class Sub(_Binary):
+    """left - right"""
+
+
+class Mul(_Binary):
+    """left * right"""
+
+
+class Div(_Binary):
+    """left / right"""
+
+
+class Max(_Binary):
+    """max(left, right)"""
+
+
+class Min(_Binary):
+    """min(left, right)"""
 
 
 class ParseError(ValueError):
@@ -130,21 +127,21 @@ def tokenize(text):
             tokens.append(("sym", c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c in digits:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in digits:
                 i += 1
             kind = "int"
-            if i < n and text[i] == "." and i + 1 < n and text[i + 1].isdigit():
+            if i < n and text[i] == "." and i + 1 < n and text[i + 1] in digits:
                 kind = "dec"
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in digits:
                     i += 1
             tokens.append((kind, Fraction(text[start:i]), start))
             continue
-        if c.isalpha():
+        if c in ascii_letters:
             start = i
-            while i < n and text[i].isalpha():
+            while i < n and text[i] in ascii_letters:
                 i += 1
             tokens.append(("name", text[start:i], start))
             continue
@@ -265,70 +262,67 @@ def parse(text):
     return node
 
 
-def format_expr(node):
-    """Print an expression so that parsing the output reproduces the AST.
+def _from_below(value):
+    return limit(lambda eps: from_rat(value - eps))
 
-    Binary operations are fully parenthesized; a division's right operand
-    gets its own parentheses so an integer/integer pair is not re-folded
-    into a literal.
-    """
-    if isinstance(node, RatLit):
-        return format_rat(node.value)
-    if isinstance(node, FromBelow):
-        return "below(%s)" % format_rat(node.value)
-    if isinstance(node, Neg):
-        return "-%s" % format_expr(node.operand)
-    if isinstance(node, Abs):
-        return "abs(%s)" % format_expr(node.operand)
-    if isinstance(node, Max):
-        return "max(%s, %s)" % (format_expr(node.left), format_expr(node.right))
-    if isinstance(node, Min):
-        return "min(%s, %s)" % (format_expr(node.left), format_expr(node.right))
-    if isinstance(node, Div):
-        return "(%s / (%s))" % (format_expr(node.left), format_expr(node.right))
-    for cls, op in ((Add, "+"), (Sub, "-"), (Mul, "*")):
-        if isinstance(node, cls):
-            return "(%s %s %s)" % (format_expr(node.left), op, format_expr(node.right))
-    raise TypeError("not an expression node: %r" % (node,))
+
+def _divide(numer, denom, witness_fuel):
+    witness = find_apart_witness(denom, witness_fuel)
+    if witness is None:
+        raise WitnessSearchError(witness_fuel)
+    return mul(numer, recip_witnessed(denom, witness))
+
+
+# Node class -> (print template, reals operation).  A literal's operation
+# takes its rational; the others take their operands' reals, and division
+# also the witness budget.  Binary operations print fully parenthesized, and
+# a division's right operand gets its own parentheses so an integer/integer
+# pair is not re-folded into a literal.
+_NODES = {
+    RatLit: ("%s", from_rat),
+    FromBelow: ("below(%s)", _from_below),
+    Neg: ("-%s", neg),
+    Abs: ("abs(%s)", absolute),
+    Add: ("(%s + %s)", add),
+    Sub: ("(%s - %s)", sub),
+    Mul: ("(%s * %s)", mul),
+    Div: ("(%s / (%s))", _divide),
+    Max: ("max(%s, %s)", join),
+    Min: ("min(%s, %s)", meet),
+}
+
+
+def _row(node):
+    try:
+        return _NODES[type(node)]
+    except KeyError:
+        raise TypeError("not an expression node: %r" % (node,)) from None
+
+
+def format_expr(node):
+    """Print an expression so that parsing the output reproduces the AST."""
+    template = _row(node)[0]
+    if isinstance(node, _Binary):
+        return template % (format_expr(node.left), format_expr(node.right))
+    if isinstance(node, _Unary):
+        return template % format_expr(node.operand)
+    return template % format_rat(node.value)
 
 
 def build_real(node, witness_fuel=64):
     """Evaluate an AST into a real.
 
-    Division searches an apartness witness for its denominator, using the
-    node's own budget when it has one and witness_fuel otherwise; a failed
-    search raises WitnessSearchError rather than returning a bogus real.
+    Division searches an apartness witness for its denominator within
+    witness_fuel stages; a failed search raises WitnessSearchError rather
+    than returning a bogus real.
     """
-    if isinstance(node, RatLit):
-        return from_rat(node.value)
-    if isinstance(node, FromBelow):
-        value = node.value
-        return limit(lambda eps: from_rat(value - eps))
-    if isinstance(node, Neg):
-        return neg(build_real(node.operand, witness_fuel))
-    if isinstance(node, Abs):
-        return absolute(build_real(node.operand, witness_fuel))
-    if isinstance(node, Add):
-        return add(build_real(node.left, witness_fuel),
-                   build_real(node.right, witness_fuel))
-    if isinstance(node, Sub):
-        return sub(build_real(node.left, witness_fuel),
-                   build_real(node.right, witness_fuel))
-    if isinstance(node, Mul):
-        return mul(build_real(node.left, witness_fuel),
-                   build_real(node.right, witness_fuel))
-    if isinstance(node, Max):
-        return join(build_real(node.left, witness_fuel),
-                    build_real(node.right, witness_fuel))
-    if isinstance(node, Min):
-        return meet(build_real(node.left, witness_fuel),
-                    build_real(node.right, witness_fuel))
-    if isinstance(node, Div):
-        numer = build_real(node.left, witness_fuel)
-        denom = build_real(node.right, witness_fuel)
-        fuel = node.witness_fuel if node.witness_fuel is not None else witness_fuel
-        witness = find_apart_witness(denom, fuel)
-        if witness is None:
-            raise WitnessSearchError(fuel)
-        return mul(numer, recip_witnessed(denom, witness))
-    raise TypeError("not an expression node: %r" % (node,))
+    operation = _row(node)[1]
+    if isinstance(node, _Binary):
+        left = build_real(node.left, witness_fuel)
+        right = build_real(node.right, witness_fuel)
+        if operation is _divide:
+            return _divide(left, right, witness_fuel)
+        return operation(left, right)
+    if isinstance(node, _Unary):
+        return operation(build_real(node.operand, witness_fuel))
+    return operation(node.value)

@@ -42,8 +42,11 @@ STAR = _Unit()
 class Partial:
     """A fuel-indexed computation; subclasses implement run().
 
-    run(fuel) must be pure and monotone: if run(n) is Done(v) then run(m) is
-    Done(v) for every m >= n.
+    run(fuel) must be sound and monotone in fuel: Done(v) only when v is a
+    true answer, and if run(n) is Done(v) then run(m) is Done(v) for every
+    m >= n.  It need not be pure: a verdict at a fixed fuel may depend on the
+    memo of the points it approximates, so a run that is PENDING at fuel n
+    can be Done at the same n once other work has refined that memo.
     """
 
     __slots__ = ()
@@ -153,9 +156,10 @@ class _CountableSup(Partial):
 
     Joining the prefix of stages restores monotonicity, so f need not be
     increasing.  Stages are instantiated lazily and classified once:
-    constant stages (now / never) are never re-polled, and the least fuel
-    known to fire is cached, so repeated runs at growing fuel only pay for
-    the indices not seen before.  A lock keeps concurrent runs consistent.
+    constant stages (now / never) are never re-polled, the scan stops at the
+    first stage that is already Done, and the least fuel known to fire is
+    cached, so repeated runs at growing fuel only pay for the indices not
+    seen before.  A lock keeps concurrent runs consistent.
     """
 
     __slots__ = ("_f", "_lock", "_next", "_fired_at", "_live")
@@ -175,15 +179,12 @@ class _CountableSup(Partial):
                 m = self._next
                 self._next += 1
                 stage = self._f(m)
-                if isinstance(stage, _Never):
-                    continue
                 if isinstance(stage, _Now):
-                    if self._fired_at is None or m < self._fired_at:
-                        self._fired_at = m
-                else:
+                    # m <= fuel < any fuel known to fire, so m is the least
+                    self._fired_at = m
+                    return Done(STAR)
+                if not isinstance(stage, _Never):
                     self._live.append((m, stage))
-            if self._fired_at is not None and fuel >= self._fired_at:
-                return Done(STAR)
             for m, stage in self._live:
                 if m <= fuel and stage.run(fuel) is not PENDING:
                     if self._fired_at is None or fuel < self._fired_at:

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .completion import CompletionPoint, eta, extend_lipschitz, extend_lipschitz2
 from .partiality import TOP, countable_sup, interleave, never
-from .premetric import RATIONALS, LipschitzFn
+from .premetric import LipschitzFn
 from .rational import QPos, dyadic
 
 CReal = CompletionPoint
@@ -143,7 +143,7 @@ def mul(x, y, x_bound=None, y_bound=None):
     def approx(eps):
         return x.approximate(eps / (2 * a)) * _clip(y.approximate(eps / (2 * b)), a)
 
-    return CompletionPoint(approx, RATIONALS)
+    return CompletionPoint(approx)
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ def recip_witnessed(x, witness):
     def approx(eps):
         return 1 / max(gap, x.approximate(eps * gap * gap))
 
-    return CompletionPoint(approx, RATIONALS)
+    return CompletionPoint(approx)
 
 
 def lt_rat_semidecide(x, q):

@@ -79,6 +79,11 @@ def test_syntax_error_exit_code_and_report():
     assert err == ("error=syntax\n"
                    "position=4\n"
                    "message=unexpected token '*' (at position 4)\n")
+    # only ASCII digits make numbers
+    for text, position in (("2\u00b2", 1), ("\u0661\u0662", 0)):
+        code, out, err = run_main(["eval", text])
+        assert (code, out) == (1, "")
+        assert err.startswith("error=syntax\nposition=%d\n" % position)
 
 
 def test_witness_error_exit_code_and_report():
@@ -102,6 +107,16 @@ def test_usage_errors_exit_one():
     code, _, err = run_main(["sign", "--", "-1", "--fuel", "64"])
     assert code == 1
     assert err.startswith("error=usage\n")
+    # precisions and budgets are integers >= 0
+    for argv in (["eval", "1", "--prec", "-1"],
+                 ["eval", "1", "--prec", "ten"],
+                 ["eval", "1/(1-1)", "--witness-fuel", "-1"],
+                 ["sign", "1", "--fuel", "-3"],
+                 ["sign", "1", "--witness-fuel", "-1"],
+                 ["compare", "1", "2", "--fuel", "-3"]):
+        code, out, err = run_main(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error=usage\n")
 
 
 def test_decimal_digits():

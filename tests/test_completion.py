@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 from fractions import Fraction
 
@@ -45,6 +47,39 @@ def test_approximate_rejects_bad_precision():
         point.approximate(Fraction(0))
     with pytest.raises(ValueError):
         point.approximate(Fraction(-1, 2))
+
+
+def test_points_shared_across_threads(corpus):
+    # Four threads share fresh corpus points, asking each for mixed
+    # precisions and its carrier; every answer must meet the oracle.
+    points = [entry.build() for entry in corpus]
+    barrier = threading.Barrier(4, timeout=30)
+    wrong, finished = [], []
+
+    def work(seed):
+        rng = random.Random(seed)
+        barrier.wait()
+        for _ in range(400):
+            i = rng.randrange(len(points))
+            eps = dyadic(rng.randint(0, 80))
+            value = points[i].approximate(eps)
+            if not abs(value - corpus[i].value) < eps or points[i].space is not RATIONALS:
+                wrong.append((corpus[i].text, eps, value))
+        finished.append(seed)
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(finished) == [0, 1, 2, 3]
+    assert wrong == []
 
 
 def test_limit_evaluation_rule_exactly():
@@ -286,7 +321,10 @@ def test_monad_join_flattens_nested_limit():
 def test_monad_join_after_map_eta_is_identity():
     embed = LipschitzFn(lambda q: eta(q), Fraction(1))
     x = below(Fraction(-9, 4))
-    y = monad_join(monad_map(embed)(x))
+    nested = monad_map(embed)(x)
+    assert isinstance(nested.space, CompletionSpace)
+    y = monad_join(nested)
+    assert y.space is RATIONALS
     for k in (4, 22):
         d = dyadic(k)
         assert abs(y.approximate(d) - x.approximate(d)) <= 2 * d

@@ -19,9 +19,12 @@ def test_tokenize_positions_and_kinds():
 
 
 def test_tokenize_rejects_stray_character():
-    with pytest.raises(ParseError) as info:
-        tokenize("1 + $2")
-    assert info.value.position == 4
+    # numbers and names are ASCII: other Unicode digits and letters are strays
+    for text, position in (("1 + $2", 4), ("2\u00b2", 1), ("\u0661\u0662", 0),
+                           ("max\u00e9(1, 2)", 3)):
+        with pytest.raises(ParseError) as info:
+            tokenize(text)
+        assert info.value.position == position
 
 
 def test_fraction_literals_fold():
@@ -109,14 +112,12 @@ def test_build_real_witness_failure():
     assert info.value.fuel == 72
 
 
-def test_div_node_fuel_override():
+def test_division_witness_budget():
     # denominator 2^-10 needs stages near 12; a budget of 3 cannot see it
-    tiny = Fraction(1, 1024)
-    starved = Div(RatLit(Fraction(1)), FromBelow(tiny), witness_fuel=3)
+    node = Div(RatLit(Fraction(1)), FromBelow(Fraction(1, 1024)))
     with pytest.raises(WitnessSearchError):
-        build_real(starved, witness_fuel=200)
-    fed = Div(RatLit(Fraction(1)), FromBelow(tiny), witness_fuel=20)
-    point = build_real(fed, witness_fuel=3)
+        build_real(node, witness_fuel=3)
+    point = build_real(node, witness_fuel=20)
     eps = dyadic(8)
     assert abs(point.approximate(eps) - 1024) <= eps
 

@@ -157,6 +157,19 @@ def test_countable_sup_stage_needs_index_below_fuel():
     assert fires(s, 9)
 
 
+def test_countable_sup_stops_at_first_firing_stage():
+    calls = []
+
+    def stage(m):
+        calls.append(m)
+        return TOP if m >= 5 else never()
+
+    s = countable_sup(stage)
+    assert s.run(256) == Done(STAR)
+    assert s.run(300) == Done(STAR)
+    assert len(calls) <= 6
+
+
 def test_interleave_constant_shortcuts():
     a = interleave(TOP, never())
     assert a.run(0) == Done(True)

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from cauchyreal import (ONE, PENDING, ZERO, ApartnessWitness, Done, absolute,
-                        add, bound, clamp, compare_partial, dyadic, eta,
-                        find_apart_witness, fires, from_rat, is_positive,
+from cauchyreal import (ONE, PENDING, STAR, ZERO, ApartnessWitness, Done,
+                        absolute, add, bound, clamp, compare_partial, dyadic,
+                        eta, find_apart_witness, fires, from_rat, is_positive,
                         join, join_sier, limit, lt_rat_semidecide, meet, mul,
                         neg, recip_witnessed, scale, sub)
 
@@ -229,6 +229,20 @@ def test_lt_rat_complete_within_stage_bound():
         # value sits gap under the target; stages need 3 * 2^-k < gap
         fuel = first_k_with_margin(gap, 3)
         assert fires(lt_rat_semidecide(x, q + gap), fuel)
+
+
+def test_lt_rat_verdict_at_fixed_fuel_reads_the_memo():
+    # run() is sound and monotone in fuel, not pure: the same fuel confirms
+    # x < 0 once a finer approximant of x sits in its memo
+    def fresh():
+        return neg(below(Fraction(21, 10240)))
+
+    assert lt_rat_semidecide(fresh(), 0).run(10) is PENDING
+    x = fresh()
+    x.approximate(dyadic(60))
+    s = lt_rat_semidecide(x, 0)
+    assert s.run(10) == Done(STAR)
+    assert s.run(11) == Done(STAR)
 
 
 def test_is_positive_resolves_signs():
