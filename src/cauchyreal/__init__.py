@@ -18,7 +18,7 @@ from .completion import (CompletionPoint, CompletionSpace,
                          extend_lipschitz, extend_lipschitz2,
                          monad_map, monad_join, lim_pointwise)
 from .reals import (CReal, ZERO, ONE, ApartnessWitness,
-                    from_rat, add, neg, sub, join, meet, absolute,
+                    from_rat, from_below, add, neg, sub, join, meet, absolute,
                     scale, clamp, bound, mul, recip_witnessed,
                     lt_rat_semidecide, is_positive, compare_partial,
                     find_apart_witness)
@@ -39,7 +39,7 @@ __all__ = [
     "extend_lipschitz", "extend_lipschitz2",
     "monad_map", "monad_join", "lim_pointwise",
     "CReal", "ZERO", "ONE", "ApartnessWitness",
-    "from_rat", "add", "neg", "sub", "join", "meet", "absolute",
+    "from_rat", "from_below", "add", "neg", "sub", "join", "meet", "absolute",
     "scale", "clamp", "bound", "mul", "recip_witnessed",
     "lt_rat_semidecide", "is_positive", "compare_partial",
     "find_apart_witness",

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .expressions import ParseError, WitnessSearchError, build_real, parse
 from .partiality import PENDING
-from .rational import dyadic, format_rat
+from .rational import dyadic, format_int, format_rat
 from .reals import compare_partial, is_positive
 
 EXIT_OK = 0
@@ -60,11 +60,19 @@ def decimal_digits(prec_exponent):
     """Fractional digits needed to resolve 2**-prec_exponent: ceil(k*log10(2)).
 
     Computed exactly as the digit count of 2**k (log10(2) is irrational, so
-    the ceiling never lands on an integer for k >= 1).
+    the ceiling never lands on an integer for k >= 1): the least d with
+    2**k < 10**d, searched by integer comparison from floor(k*log10(2)),
+    which floating point cannot overshoot by a whole digit.
     """
     if prec_exponent <= 0:
         return 0
-    return len(str(2 ** prec_exponent))
+    n = 1 << prec_exponent
+    digits = int(prec_exponent * 0.30102999566398120)
+    power = 10 ** digits
+    while power <= n:
+        power *= 10
+        digits += 1
+    return digits
 
 
 def format_decimal(q, digits, round_up):
@@ -74,16 +82,17 @@ def format_decimal(q, digits, round_up):
     rendering an interval's endpoints outward keeps the printed interval an
     enclosure.  Display only; the rational endpoints are the authority.
     """
-    scaled = Fraction(q) * 10 ** digits
+    q = Fraction(q)
+    scaled = q.numerator * 10 ** digits
     if round_up:
-        n = -((-scaled.numerator) // scaled.denominator)
+        n = -(-scaled // q.denominator)
     else:
-        n = scaled.numerator // scaled.denominator
+        n = scaled // q.denominator
     sign = "-" if n < 0 else ""
-    n = abs(n)
+    s = format_int(abs(n))
     if digits == 0:
-        return sign + str(n)
-    s = str(n).rjust(digits + 1, "0")
+        return sign + s
+    s = s.rjust(digits + 1, "0")
     return "%s%s.%s" % (sign, s[:-digits], s[-digits:])
 
 

@@ -10,7 +10,12 @@ finite-precision tests.
 
 Precision bookkeeping is the whole game here.  Every evaluation rule splits
 its budget so that each contribution to the final error stays strictly below
-its share; the comments on each rule say where the halves go.
+its share; the comments on each rule say where the halves go.  Built-in reals
+(see reals) take a second, integer path through the same points: a request
+for precision 2**-k is the integer k, the answer an integer m with
+|x - m * 2**-k| < 2**-k, and splits become offsets on k.  Procedures given
+here, such as limit's, stay opaque rational procedures; the integer path
+reaches them by rounding an approximant at 2**-(k+1).
 """
 
 import threading
@@ -19,7 +24,7 @@ from fractions import Fraction
 
 from .partiality import TOP, countable_sup, fires, never
 from .premetric import LipschitzFn, PremetricCarrier, RATIONALS
-from .rational import QPos, dyadic
+from .rational import QPos, ceil_log2, dyadic, dyadic_rat, round_div
 
 _ONE = Fraction(1)
 
@@ -28,47 +33,101 @@ class CompletionPoint:
     """An element of the completion of a base premetric space.
 
     The underlying procedure must be a Cauchy approximation: values requested
-    at eps and delta always lie within eps + delta of each other, so the point
-    it denotes is determined.  approximate() memoizes the finest answer seen
-    so far and may serve it for any coarser request; that is sound because a
-    value within delta of the point is also within eps for eps >= delta.
+    at eps and delta always lie strictly within eps + delta of each other, so
+    the point it denotes is determined.  A point has an opaque procedure
+    (approx, eps -> base element within eps), an integer one (scaled,
+    k -> integer m with |x - m * 2**-k| < 2**-k, for a real x), or both.
+
+    Both routes memoize the finest answer seen so far in one pair, _memo:
+    (eps, value) for an opaque procedure, (k, m) for an integer one.  A
+    coarser request may be served from it; that is sound because a value
+    within delta of the point is also within eps for eps >= delta.  A point
+    with both procedures answers approximate() with the opaque one and
+    scaled() with the integer one, which it does not memoize.
 
     Points carrying an exact base element (built by eta) keep it in `exact`
     and answer every request with it; operations use the tag to fast-path
     exact inputs.  Instances are safe to share between threads.
     """
 
-    __slots__ = ("_approx", "exact", "_lock", "_best_eps", "_best_val")
+    __slots__ = ("_approx", "_scaled", "exact", "_lock", "_memo")
 
-    def __init__(self, approx, exact=None):
+    def __init__(self, approx=None, exact=None, scaled=None):
         self._approx = approx
+        self._scaled = scaled
         self.exact = exact
         self._lock = threading.Lock()
-        self._best_eps = None
-        self._best_val = None
+        self._memo = None
 
     @property
     def space(self):
         """The carrier the approximants live in, read off the one at eps=1."""
         return carrier(self.approximate(_ONE))
 
+    @property
+    def _best_eps(self):
+        """The precision of the memoized answer, or None before the first."""
+        memo = self._memo
+        if memo is None:
+            return None
+        return memo[0] if self._approx is not None else dyadic(memo[0])
+
     def approximate(self, eps):
-        """A base element within eps of the denoted point.  eps must be > 0."""
+        """A base element within eps of the denoted point.  eps must be > 0.
+
+        An integer point answers m * 2**-k for the least k >= 0 with
+        2**-k <= eps, or its finer memoized answer.
+        """
         if eps <= 0:
             raise ValueError("precision must be strictly positive, got %s" % (eps,))
         if self.exact is not None:
             return self.exact
-        with self._lock:
-            if self._best_eps is not None and self._best_eps <= eps:
-                return self._best_val
+        memo = self._memo
+        if self._approx is None:
+            k = ceil_log2(eps.denominator, eps.numerator)
+            if memo is not None and memo[0] >= k:
+                k, m = memo
+            else:
+                m = self.scaled(k)
+            return dyadic_rat(m, k)
+        if memo is not None and memo[0] <= eps:
+            return memo[1]
         # Computed outside the lock: the procedure may recurse into other
         # points (or this one at a different precision).
         value = self._approx(eps)
         with self._lock:
-            if self._best_eps is None or eps < self._best_eps:
-                self._best_eps = eps
-                self._best_val = value
+            memo = self._memo
+            if memo is None or eps < memo[0]:
+                self._memo = (eps, value)
         return value
+
+    def scaled(self, k):
+        """An integer m with |x - m * 2**-k| < 2**-k, for an integer k >= 0.
+
+        Exact points round their rational, and opaque points their
+        approximant at 2**-(k+1): each error is at most 2**-(k+1), the
+        approximant's strictly less.  A memoized (j, m) with j > k is rounded
+        by a shift, which moves it by at most 2**-(k+1) more.
+        """
+        exact = self.exact
+        if exact is not None:
+            return round_div(exact.numerator << k, exact.denominator)
+        if self._approx is not None:
+            if self._scaled is not None:
+                return self._scaled(k)
+            value = self.approximate(dyadic(k + 1))
+            return round_div(value.numerator << k, value.denominator)
+        memo = self._memo
+        if memo is not None and memo[0] >= k:
+            j, m = memo
+            return m if j == k else (m + (1 << (j - k - 1))) >> (j - k)
+        # Computed outside the lock, as in approximate().
+        m = self._scaled(k)
+        with self._lock:
+            memo = self._memo
+            if memo is None or k > memo[0]:
+                self._memo = (k, m)
+        return m
 
     def __repr__(self):
         if self.exact is not None:

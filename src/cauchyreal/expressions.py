@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from string import ascii_letters, digits
 
-from .completion import limit
 from .rational import format_rat
-from .reals import (absolute, add, find_apart_witness, from_rat, join, meet,
-                    mul, neg, recip_witnessed, sub)
+from .reals import (absolute, add, find_apart_witness, from_below, from_rat,
+                    join, meet, mul, neg, recip_witnessed, sub)
 
 
 @dataclass(frozen=True)
@@ -262,10 +261,6 @@ def parse(text):
     return node
 
 
-def _from_below(value):
-    return limit(lambda eps: from_rat(value - eps))
-
-
 def _divide(numer, denom, witness_fuel):
     witness = find_apart_witness(denom, witness_fuel)
     if witness is None:
@@ -280,7 +275,7 @@ def _divide(numer, denom, witness_fuel):
 # pair is not re-folded into a literal.
 _NODES = {
     RatLit: ("%s", from_rat),
-    FromBelow: ("below(%s)", _from_below),
+    FromBelow: ("below(%s)", from_below),
     Neg: ("-%s", neg),
     Abs: ("abs(%s)", absolute),
     Add: ("(%s + %s)", add),
@@ -300,7 +295,12 @@ def _row(node):
 
 
 def format_expr(node):
-    """Print an expression so that parsing the output reproduces the AST."""
+    """Print an expression so that parsing the output reproduces the AST.
+
+    That holds for every AST the parser makes.  The parser makes negative
+    literals only inside below(...); elsewhere a negative RatLit prints as
+    -p/q, which parses as Neg of the positive literal, the same value.
+    """
     template = _row(node)[0]
     if isinstance(node, _Binary):
         return template % (format_expr(node.left), format_expr(node.right))

@@ -8,7 +8,9 @@ rational for precisions, gaps and Lipschitz constants, the canonical dyadic
 precisions, and the closeness relation on rationals.
 """
 
+from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 # The base number type everything else works with.
 Rat = Fraction
@@ -36,15 +38,54 @@ def close_q(eps, q, r):
     return abs(q - r) < eps
 
 
+@lru_cache(maxsize=1024)
 def dyadic(k):
-    """The canonical precision 2**-k, for k >= 0."""
+    """The canonical precision 2**-k, for k >= 0.  Cached: stage scans ask
+    for the same few again and again."""
     if k < 0:
         raise ValueError("dyadic exponent must be >= 0, got %s" % k)
     return QPos(1, 2 ** k)
 
 
+def ceil_log2(n, d):
+    """The least integer e >= 0 with n/d <= 2**e, for integers n, d > 0.
+    ceil_log2(eps.denominator, eps.numerator): the least k, 2**-k <= eps."""
+    return (-(-n // d) - 1).bit_length()
+
+
+# A Fraction from a coprime numerator and positive denominator, without the
+# constructor's gcd; the private spelling differs between Python versions.
+if hasattr(Fraction, "_from_coprime_ints"):  # 3.12 and later
+    _coprime = Fraction._from_coprime_ints
+else:  # 3.10 and 3.11
+    def _coprime(n, d):
+        return Fraction(n, d, _normalize=False)
+
+
+def dyadic_rat(m, k):
+    """The rational m * 2**-k, for k >= 0, in lowest terms.
+
+    Shifting out m's trailing zero bits reduces it; Python's gcd with a power
+    of two, which Fraction(m, 2**k) computes, takes 0.4 ms at k = 16,000.
+    """
+    if m == 0:
+        return Fraction(0)
+    s = min(k, (m & -m).bit_length() - 1)
+    return _coprime(m >> s, 1 << (k - s))
+
+
+def round_div(n, d):
+    """The integer nearest to n/d for d > 0, halves rounded up."""
+    return (2 * n + d) // (2 * d)
+
+
+def format_int(n):
+    """n in decimal, of any length: Decimal has no int-to-str digit limit."""
+    return str(Decimal(n))
+
+
 def format_rat(q):
     """Render q as p or p/q, the same notation the expression parser reads."""
     if q.denominator == 1:
-        return str(q.numerator)
-    return "%s/%s" % (q.numerator, q.denominator)
+        return format_int(q.numerator)
+    return "%s/%s" % (format_int(q.numerator), format_int(q.denominator))

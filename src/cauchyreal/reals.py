@@ -1,10 +1,21 @@
 """Cauchy reals: the completion of the rationals, with field and lattice
 structure, semi-decidable order, and apartness-witnessed inversion.
 
-Each operation has two routes that denote the same real: a generic route by
-Lipschitz extension of the rational operation, and an exact fast path taken
-when the operands carry their rational value.  Only approximation bookkeeping
-differs between the routes, never the denoted point.
+Each operation has two routes that denote the same real: a generic route,
+and an exact fast path taken when the operands carry their rational value.
+Only approximation bookkeeping differs between the routes, never the denoted
+point.
+
+The generic route is the integer path of CompletionPoint: a request for
+precision 2**-k is the integer k, the answer an integer m with
+|x - m * 2**-k| < 2**-k.  The completion is the same for any dense subset of
+the rationals, so these dyadic approximants m * 2**-k lose nothing, and they
+keep every approximant's size at k bits plus the value's.  Each operation
+states its precision split once, as offsets on k: it asks its operands for
+k + o, combines their integers, and rounds to the grid 2**-k, which costs at
+most 2**-(k+1).  The operands' share is therefore strictly below 2**-(k+1).
+Lipschitz constants, bounds and gaps are rounded to powers of two once, when
+the node is built, so every rounding is a shift or one integer division.
 
 Order on the reals is semi-decidable, not decidable: a strict inequality can
 be confirmed in finite fuel, equality can only stay pending forever.  The
@@ -27,15 +38,14 @@ requested precision, four times for the last one):
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .completion import CompletionPoint, eta, extend_lipschitz, extend_lipschitz2
+from .completion import CompletionPoint, eta
 from .partiality import TOP, countable_sup, interleave, never
-from .premetric import LipschitzFn
-from .rational import QPos, dyadic
+from .rational import QPos, ceil_log2, dyadic, round_div
 
 CReal = CompletionPoint
 
 _ONE = Fraction(1)
-_ONE_POS = QPos(1)
+_HALF = Fraction(1, 2)
 
 
 def from_rat(q):
@@ -43,25 +53,36 @@ def from_rat(q):
     return eta(Fraction(q))
 
 
+def from_below(q):
+    """q as the limit of eps -> q - eps, which never reports q exactly.
+
+    The approximant at eps is limit's rule applied to that family, q - eps/2.
+    The integer path rounds the same approximant at 2**-(k+1), which is
+    q - 2**-(k+2), to floor(q * 2**k + 1/4), without building the family.
+    """
+    q = Fraction(q)
+    n, d = q.numerator, q.denominator
+    return CompletionPoint(lambda eps: q - _HALF * eps,
+                           scaled=lambda k: ((n << (k + 2)) + d) // (4 * d))
+
+
 ZERO = from_rat(0)
 ONE = from_rat(1)
 
-# Addition, join and meet are non-expanding in each argument; negation is
-# non-expanding outright.
-_ADD = extend_lipschitz2(lambda q, r: eta(q + r), _ONE_POS, _ONE_POS)
-_JOIN = extend_lipschitz2(lambda q, r: eta(max(q, r)), _ONE_POS, _ONE_POS)
-_MEET = extend_lipschitz2(lambda q, r: eta(min(q, r)), _ONE_POS, _ONE_POS)
-_NEG = extend_lipschitz(LipschitzFn(lambda q: eta(-q), _ONE_POS))
-
 
 def add(x, y):
-    """x + y."""
-    return _ADD(x, y)
+    """x + y: each operand at k+2, strictly within 2**-(k+2), then rounded."""
+    if x.exact is not None and y.exact is not None:
+        return from_rat(x.exact + y.exact)
+    return CompletionPoint(
+        scaled=lambda k: (x.scaled(k + 2) + y.scaled(k + 2) + 2) >> 2)
 
 
 def neg(x):
-    """-x."""
-    return _NEG(x)
+    """-x: the operand's answer at k, negated; no rounding."""
+    if x.exact is not None:
+        return from_rat(-x.exact)
+    return CompletionPoint(scaled=lambda k: -x.scaled(k))
 
 
 def sub(x, y):
@@ -70,13 +91,18 @@ def sub(x, y):
 
 
 def join(x, y):
-    """Lattice join: max(x, y)."""
-    return _JOIN(x, y)
+    """Lattice join max(x, y): the operands at k.  max is non-expanding in
+    the larger of the two errors, so no rounding is needed."""
+    if x.exact is not None and y.exact is not None:
+        return from_rat(max(x.exact, y.exact))
+    return CompletionPoint(scaled=lambda k: max(x.scaled(k), y.scaled(k)))
 
 
 def meet(x, y):
-    """Lattice meet: min(x, y)."""
-    return _MEET(x, y)
+    """Lattice meet min(x, y): the operands at k, as for join."""
+    if x.exact is not None and y.exact is not None:
+        return from_rat(min(x.exact, y.exact))
+    return CompletionPoint(scaled=lambda k: min(x.scaled(k), y.scaled(k)))
 
 
 def absolute(x):
@@ -85,13 +111,19 @@ def absolute(x):
 
 
 def scale(q, x):
-    """q * x for rational q, by unary extension.
+    """q * x for rational q.
 
-    |q| + 1 is a valid Lipschitz constant for every q, including 0.
+    With |q| < 2**e, x at k+e+1 is strictly within 2**-(k+e+1), which q
+    stretches to under 2**-(k+1); rounding q times that answer to the grid
+    2**-k is one integer division.
     """
     q = Fraction(q)
-    ext = extend_lipschitz(LipschitzFn(lambda r: eta(q * r), QPos(abs(q) + 1)))
-    return ext(x)
+    if x.exact is not None:
+        return from_rat(q * x.exact)
+    n, d = q.numerator, q.denominator
+    e = (abs(n) // d).bit_length()
+    return CompletionPoint(
+        scaled=lambda k: round_div(n * x.scaled(k + e + 1), d << (e + 1)))
 
 
 def clamp(x, lo, hi):
@@ -112,25 +144,22 @@ def bound(x):
     return QPos(abs(x.approximate(_ONE)) + 2)
 
 
-def _clip(v, a):
-    if v > a:
-        return a
-    if v < -a:
-        return -a
-    return v
-
-
 def mul(x, y, x_bound=None, y_bound=None):
     """x * y by bounded multiplication.
 
-    With a a bound on |y| and b a bound on |x|, a request for eps multiplies
-    x's eps/(2a) approximant by y's eps/(2b) approximant clipped into
-    [-a, a].  The clip costs nothing (y's values near y stay in range, and
-    clipping toward the range never moves a value away from y) and keeps the
-    error split valid no matter what x's approximant does:
+    With a bound on |y| rounded up to 2**ea and one on |x| rounded up to
+    2**eb, a request for 2**-k multiplies x's answer u at k+ea+2 by y's
+    answer v at k+eb+2 clipped into [-2**ea, 2**ea], and rounds the product
+    to the grid 2**-k.  The clip costs nothing (y's values near y stay in
+    range, and clipping toward the range never moves a value away from y)
+    and keeps the error split valid no matter what x's answer does.  With
+    U = u * 2**-(k+ea+2) and V = clip(v) * 2**-(k+eb+2):
 
-        |u * clip(v) - x*y| <= |clip(v)| * |u - x| + |x| * |clip(v) - y|
-                             <  a * eps/(2a)      + b * eps/(2b)  =  eps.
+        |U*V - x*y| <= |V| * |U - x| + |x| * |V - y|
+                     <  2**ea * 2**-(k+ea+2) + 2**eb * 2**-(k+eb+2)
+                     =  2**-(k+1),
+
+    and rounding U*V to the grid adds at most 2**-(k+1).
 
     Custom bounds must genuinely bound the operands; any valid choice denotes
     the same real.
@@ -139,11 +168,17 @@ def mul(x, y, x_bound=None, y_bound=None):
         return from_rat(x.exact * y.exact)
     a = QPos(y_bound) if y_bound is not None else bound(y)
     b = QPos(x_bound) if x_bound is not None else bound(x)
+    ea = ceil_log2(a.numerator, a.denominator)
+    eb = ceil_log2(b.numerator, b.denominator)
 
-    def approx(eps):
-        return x.approximate(eps / (2 * a)) * _clip(y.approximate(eps / (2 * b)), a)
+    def scaled(k):
+        clip = 1 << (k + ea + eb + 2)
+        v = max(-clip, min(clip, y.scaled(k + eb + 2)))
+        p = x.scaled(k + ea + 2) * v
+        s = k + ea + eb + 4
+        return (p + (1 << (s - 1))) >> s
 
-    return CompletionPoint(approx)
+    return CompletionPoint(scaled=scaled)
 
 
 @dataclass(frozen=True)
@@ -166,22 +201,29 @@ class ApartnessWitness:
 def recip_witnessed(x, witness):
     """1/x, given an apartness witness for x.
 
-    Positive case: on the witnessed region [gap, +inf) the reciprocal is
-    Lipschitz with constant gap**-2, so a request for eps evaluates x at
-    eps * gap**2 and floors the approximant at gap before inverting; the
-    floor is sound because x really does sit at or above gap.  The negative
-    case mirrors through negation: 1/x = -(1/(-x)).
+    Positive case: the gap is rounded down to 2**-g <= gap <= x once, and on
+    [2**-g, +inf) the reciprocal is Lipschitz with constant 2**(2g).  A
+    request for 2**-k reads x at j = k+2g+1, floors the answer at 2**-g (sound
+    because x really does sit there, and never moving it away from x), and
+    rounds 2**j / u to the grid 2**-k:
+
+        |2**j/u - 1/x| <= 2**(2g) * |u * 2**-j - x|  <  2**-(k+1),
+
+    plus at most 2**-(k+1) from the rounding.  The negative case mirrors
+    through negation: 1/x = -(1/(-x)).
     """
     gap = QPos(witness.gap)
     if x.exact is not None:
         return from_rat(1 / x.exact)
     if not witness.positive:
         return neg(recip_witnessed(neg(x), ApartnessWitness(True, gap)))
+    g = ceil_log2(gap.denominator, gap.numerator)
 
-    def approx(eps):
-        return 1 / max(gap, x.approximate(eps * gap * gap))
+    def scaled(k):
+        j = k + 2 * g + 1
+        return round_div(1 << (j + k), max(1 << (j - g), x.scaled(j)))
 
-    return CompletionPoint(approx)
+    return CompletionPoint(scaled=scaled)
 
 
 def lt_rat_semidecide(x, q):

@@ -415,7 +415,7 @@ def test_criterion_13_cli_conformance(corpus):
          "lo.decimal=0.49999999999999999994\n"
          "hi.decimal=0.50000000000000000006\n", ""),
         (["eval", "below(1)/below(4)", "--prec", "10"], 0,
-         "eps=1/1024\nlo=386803/1553408\nhi=389837/1553408\n"
+         "eps=1/1024\nlo=255/1024\nhi=257/1024\n"
          "lo.decimal=0.2490\nhi.decimal=0.2510\n", ""),
         (["eval", "2/7", "--prec", "5", "--format", "rational"], 0,
          "eps=1/32\nlo=57/224\nhi=71/224\n", ""),

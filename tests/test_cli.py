@@ -1,12 +1,15 @@
 import shutil
 import subprocess
+from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 from io import StringIO
 
 import pytest
 
-from cauchyreal import Enclosure, dyadic, evaluate_enclosure
+from cauchyreal import Enclosure, dyadic, evaluate_enclosure, parse
 from cauchyreal.cli import decimal_digits, format_decimal, main
+
+from oracles import eval_exact
 
 
 def run_main(argv):
@@ -31,8 +34,8 @@ def test_eval_generic_division():
     code, out, err = run_main(["eval", "below(1)/below(4)", "--prec", "10"])
     assert code == 0
     assert out == ("eps=1/1024\n"
-                   "lo=386803/1553408\n"
-                   "hi=389837/1553408\n"
+                   "lo=255/1024\n"
+                   "hi=257/1024\n"
                    "lo.decimal=0.2490\n"
                    "hi.decimal=0.2510\n")
 
@@ -126,6 +129,43 @@ def test_decimal_digits():
     assert decimal_digits(4) == 2
     assert decimal_digits(10) == 4
     assert decimal_digits(64) == 20
+
+
+def test_decimal_digits_matches_decimal_count():
+    # ceil(k * log10(2)) in 60-digit Decimal arithmetic, far finer than the
+    # distance of k * log10(2) from an integer for these k
+    context = Context(prec=60)
+    log10_2 = context.log10(Decimal(2))
+    for k in range(20001):
+        count = context.multiply(Decimal(k), log10_2).to_integral_value(ROUND_CEILING)
+        assert decimal_digits(k) == int(count)
+
+
+def _exact(text):
+    """A printed rational or decimal of any length, read without int(str)."""
+    num, _, den = text.partition("/")
+    return Fraction(Decimal(num)) / Fraction(Decimal(den or "1"))
+
+
+def _horner(x_text):
+    # criterion 12's degree-8 polynomial P(x)
+    expr = "2"
+    for c in (1, -3, 5, -7, 11, -13, 17, -19):
+        expr = "(%s * (%s) %s %d)" % (expr, x_text, "+" if c >= 0 else "-", abs(c))
+    return expr
+
+
+@pytest.mark.parametrize("text, prec", [("1/3", 15000), (_horner("below(1/3)"), 1500)])
+def test_eval_prints_answers_past_the_int_to_str_limit(text, prec):
+    code, out, err = run_main(["eval", text, "--prec", str(prec)])
+    assert (code, err) == (0, "")
+    answer = dict(line.split("=", 1) for line in out.splitlines())
+    lo, hi = _exact(answer["lo"]), _exact(answer["hi"])
+    value = eval_exact(parse(text))
+    assert _exact(answer["eps"]) == dyadic(prec)
+    assert hi - lo == 2 * dyadic(prec)
+    assert lo <= value <= hi
+    assert _exact(answer["lo.decimal"]) <= value <= _exact(answer["hi.decimal"])
 
 
 def test_format_decimal_rounds_outward():

@@ -1,0 +1,73 @@
+"""Property tests over generated expressions (hypothesis, derandomized).
+
+Expressions have depth at most 5 and use + - * max min abs below, and
+division by literals >= 1, so every division finds its witness.  Literals are
+non-negative except inside below(...), as the parser makes them.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from cauchyreal import build_real, dyadic, evaluate_enclosure, format_expr, parse
+from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
+                                    Neg, RatLit, Sub)
+
+from oracles import eval_exact
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None,
+                             max_examples=100)
+PRECISIONS = (0, 1, 2, 64, 300)
+
+_NATURALS = st.fractions(min_value=0, max_value=50, max_denominator=12)
+_SIGNED = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+_DIVISORS = st.fractions(min_value=1, max_value=50, max_denominator=12)
+
+
+def expressions(depth, literals=_NATURALS, divisors=_DIVISORS):
+    leaves = st.one_of(literals.map(RatLit), _SIGNED.map(FromBelow))
+    if depth == 0:
+        return leaves
+    sub = expressions(depth - 1, literals, divisors)
+    return st.one_of(
+        leaves,
+        st.builds(Neg, sub),
+        st.builds(Abs, sub),
+        st.builds(Add, sub, sub),
+        st.builds(Sub, sub, sub),
+        st.builds(Mul, sub, sub),
+        st.builds(Max, sub, sub),
+        st.builds(Min, sub, sub),
+        st.builds(Div, sub, divisors.map(RatLit)),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(expressions(5))
+def test_enclosures_are_exact_width_and_contain_the_value(node):
+    value = eval_exact(node)
+    text = format_expr(node)
+    generic = build_real(node).exact is None
+    for k in PRECISIONS:
+        box = evaluate_enclosure(text, k)
+        assert box.width == 2 * dyadic(k)
+        assert box.contains(value)
+        # a bare below(q) answers with limit's rule, q - eps/2, by design
+        if generic and not isinstance(node, FromBelow):
+            mid = (box.lo + box.hi) / 2
+            den = mid.denominator
+            assert den & (den - 1) == 0 and den <= 2 ** k
+
+
+@PROPERTY_SETTINGS
+@given(expressions(5, divisors=_NATURALS))
+def test_printing_round_trips_parser_made_asts(node):
+    assert parse(format_expr(node)) == node
+
+
+def test_negative_literal_prints_as_a_negation():
+    # only below(...) makes a negative literal; elsewhere it reads back as Neg
+    node = RatLit(Fraction(-2, 3))
+    assert format_expr(node) == "-2/3"
+    assert parse(format_expr(node)) == Neg(RatLit(Fraction(2, 3)))
+    assert parse(format_expr(FromBelow(Fraction(-2, 3)))) == FromBelow(Fraction(-2, 3))

@@ -1,14 +1,17 @@
+import gc
 import random
 
 from fractions import Fraction
 
 import pytest
 
-from cauchyreal import (ONE, PENDING, STAR, ZERO, ApartnessWitness, Done,
-                        absolute, add, bound, clamp, compare_partial, dyadic,
-                        eta, find_apart_witness, fires, from_rat, is_positive,
-                        join, join_sier, limit, lt_rat_semidecide, meet, mul,
-                        neg, recip_witnessed, scale, sub)
+from cauchyreal import (ONE, PENDING, STAR, ZERO, ApartnessWitness,
+                        CompletionPoint, Done, absolute, add, bound,
+                        build_real, clamp, compare_partial, dyadic, eta,
+                        find_apart_witness, fires, from_below, from_rat,
+                        is_positive, join, join_sier, limit,
+                        lt_rat_semidecide, meet, mul, neg, parse,
+                        recip_witnessed, scale, sub)
 
 from oracles import first_k_with_margin
 
@@ -378,3 +381,59 @@ def test_uncurried_continuity_of_mul():
         a = mul(below(qu), below(qv)).approximate(eps)
         b = mul(u2, v2).approximate(eps)
         assert abs(a - b) <= 3 * eps
+
+
+def test_from_below_routes():
+    # the public answer is limit's rule; the integer one rounds it at 2**-(k+1)
+    q = Fraction(22, 7)
+    x = from_below(q)
+    for k in (0, 5, 40):
+        eps = dyadic(k)
+        assert x.approximate(eps) == q - eps / 2
+        assert x.scaled(k) == round((q - dyadic(k + 2)) * 2 ** k)
+
+
+def test_integer_answers_within_strict_error():
+    rng = random.Random(137)
+    for _ in range(40):
+        q, r = rand_rat(rng, 60, 20), rand_rat(rng, 60, 20)
+        points = [
+            (add(from_below(q), below(r)), q + r),
+            (neg(from_below(q)), -q),
+            (join(below(q), from_below(r)), max(q, r)),
+            (mul(from_below(q), below(r)), q * r),
+            (scale(q, from_below(r)), q * r),
+        ]
+        if r != 0:
+            w = find_apart_witness(below(r), 64)
+            points.append((recip_witnessed(from_below(r), w), 1 / r))
+        for k in (0, 3, 64):
+            for point, value in points:
+                assert abs(point.scaled(k) - value * 2 ** k) < 1
+
+
+def test_memo_serves_coarser_integer_requests_by_rounding():
+    x = add(from_below(Fraction(1, 3)), from_below(Fraction(1, 3)))
+    fine = x.scaled(40)
+    assert x.scaled(10) == (fine + 2 ** 29) >> 30
+    # the public route keeps serving the finer answer unrounded
+    assert x.approximate(dyadic(10)) == Fraction(fine, 2 ** 40)
+
+
+def test_dropped_points_need_no_cycle_collector():
+    # points hold their operands, never themselves: reference counting alone
+    # frees a dropped real and every node under it
+    def live_points():
+        return sum(isinstance(o, CompletionPoint) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_points()
+        x = build_real(parse(" + ".join(["below(1/3)"] * 300)))
+        assert abs(x.approximate(dyadic(64)) - 100) <= dyadic(64)
+        del x
+        after = live_points()
+    finally:
+        gc.enable()
+    assert after == before
