@@ -8,6 +8,7 @@ denominator apart from zero.
 """
 
 import argparse
+import functools
 import sys
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .expressions import ParseError, WitnessSearchError, build_real, parse
 from .partiality import PENDING
-from .rational import dyadic, format_int, format_rat
+from .rational import dyadic, dyadic_rat, format_int, format_rat
 from .reals import compare_partial, is_positive
 
 EXIT_OK = 0
@@ -48,12 +49,20 @@ def evaluate_enclosure(text, prec_exponent, witness_fuel=None):
     """Parse text and enclose its value within radius 2**-prec_exponent.
 
     Returns the midpoint's enclosure [m - eps, m + eps] where m is the
-    eps-approximant; both endpoints are exact rationals.
+    eps-approximant; both endpoints are exact rationals.  A dyadic m is
+    shifted onto the finer grid of its own and eps's, sparing a gcd.
     """
     point = build_real(parse(text), _witness_fuel(witness_fuel, prec_exponent))
     eps = dyadic(prec_exponent)
     mid = point.approximate(eps)
-    return Enclosure(mid - eps, mid + eps)
+    den = mid.denominator
+    if den & (den - 1):
+        return Enclosure(mid - eps, mid + eps)
+    j = den.bit_length() - 1
+    k = max(j, prec_exponent)
+    a = mid.numerator << (k - j)
+    e = 1 << (k - prec_exponent)
+    return Enclosure(dyadic_rat(a - e, k), dyadic_rat(a + e, k))
 
 
 def decimal_digits(prec_exponent):
@@ -118,7 +127,9 @@ def _budget(text):
     return value
 
 
+@functools.cache
 def _build_parser():
+    """The parser, built on first use and shared: parsing does not change it."""
     parser = _ArgumentParser(prog="creal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

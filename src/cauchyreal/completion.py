@@ -194,6 +194,9 @@ def close_semidecide(eps, x, y):
     close(eps - 2d, x(d), y(d)).  Acceptance at any stage certifies
     closeness; every strictly eps-close pair has a stage fine enough to see
     the slack, and a pair at distance exactly eps or more never fires.
+
+    The scan is countable_sup's full one: the threshold leaves no margin, so
+    a firing stage does not make the finer stages fire (see lag_two_sup).
     """
     space = x.space
 

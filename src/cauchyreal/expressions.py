@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from string import ascii_letters, digits
 
-from .rational import format_rat
+from .rational import format_rat, parse_int
 from .reals import (absolute, add, find_apart_witness, from_below, from_rat,
                     join, meet, mul, neg, recip_witnessed, sub)
 
@@ -110,9 +110,9 @@ _SYMBOLS = "+-*/(),"
 def tokenize(text):
     """Split text into (kind, value, position) tokens.
 
-    Kinds: 'int' and 'dec' carry a Fraction and keep the distinction so the
-    parser can fold p/q literals; 'name' carries an identifier; 'sym' one of
-    + - * / ( ) ,; 'end' marks exhaustion.
+    Kinds: 'int' carries an int and 'dec' an exact Fraction, of any length,
+    and the distinction lets the parser fold p/q literals; 'name' carries an
+    identifier; 'sym' one of + - * / ( ) ,; 'end' marks exhaustion.
     """
     tokens = []
     i = 0
@@ -130,13 +130,16 @@ def tokenize(text):
             start = i
             while i < n and text[i] in digits:
                 i += 1
-            kind = "int"
             if i < n and text[i] == "." and i + 1 < n and text[i + 1] in digits:
-                kind = "dec"
+                point = i
                 i += 1
                 while i < n and text[i] in digits:
                     i += 1
-            tokens.append((kind, Fraction(text[start:i]), start))
+                value = Fraction(parse_int(text[start:point] + text[point + 1:i]),
+                                 10 ** (i - point - 1))
+                tokens.append(("dec", value, start))
+            else:
+                tokens.append(("int", parse_int(text[start:i]), start))
             continue
         if c in ascii_letters:
             start = i
@@ -209,8 +212,8 @@ class _Parser:
                 and self.tokens[self.pos + 1][1] != 0):
             self.advance()
             den = self.advance()[1]
-            return RatLit(tok[1] / den)
-        return RatLit(tok[1])
+            return RatLit(Fraction(tok[1], den))
+        return RatLit(Fraction(tok[1]))
 
     def signed_literal(self):
         if self.peek()[0] == "sym" and self.peek()[1] == "-":

@@ -202,6 +202,51 @@ def countable_sup(f):
     return _CountableSup(f)
 
 
+class _LagTwoSup(Partial):
+    """countable_sup of stages that are TOP or never() and fire with a lag
+    of two: if stage m fires, so does every stage n >= m + 2.
+
+    A firing stage m <= n - 2 then makes stage n fire, so the prefix join of
+    stages 0..n is the join of stages n - 1 and n, and a run at fuel n polls
+    just those, after the coarse stages 0, 1, 2, 4, 8, ... below n - 1 that
+    let an easy verdict stop at low precision.  A single run gives the full
+    prefix scan's verdict.  _fired_at is the least fuel known to fire (a run
+    there polls the stage that fired); _pending is the greatest stage up to
+    which all are known pending, which a run pending at fuel n raises to n,
+    so a loop of growing fuel polls one new stage per run.  Stages may read
+    state that other work refines (a point's memo), so repeated runs can
+    differ from the full scan's; they stay sound and monotone in fuel.
+    """
+
+    __slots__ = ("_f", "_lock", "_fired_at", "_pending")
+
+    def __init__(self, f):
+        self._f = f
+        self._lock = threading.Lock()
+        self._fired_at = None   # least fuel known to produce Done
+        self._pending = -1      # every stage up to here is known pending
+
+    def run(self, fuel):
+        with self._lock:
+            if self._fired_at is not None and fuel >= self._fired_at:
+                return Done(STAR)
+            m = 0
+            while m <= fuel:
+                if m > self._pending and isinstance(self._f(m), _Now):
+                    self._fired_at = m
+                    return Done(STAR)
+                # double through the coarse stages, then the last two
+                m = max(m + 1, min(2 * m, fuel - 1))
+            self._pending = max(self._pending, fuel)
+            return PENDING
+
+
+def lag_two_sup(f):
+    """countable_sup(f) for stages that fire with a lag of two (see
+    _LagTwoSup), polling O(log n) stages at fuel n."""
+    return _LagTwoSup(f)
+
+
 def interleave(a, b):
     """Run two disjoint semi-decisions side by side, reporting which fired.
 

@@ -84,6 +84,15 @@ def format_int(n):
     return str(Decimal(n))
 
 
+def parse_int(digits):
+    """The integer a run of ASCII digits denotes, of any length: Decimal
+    reads what int() refuses past the str-to-int digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
+
+
 def format_rat(q):
     """Render q as p or p/q, the same notation the expression parser reads."""
     if q.denominator == 1:

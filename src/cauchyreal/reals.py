@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .completion import CompletionPoint, eta
-from .partiality import TOP, countable_sup, interleave, never
+from .partiality import TOP, interleave, lag_two_sup, never
 from .rational import QPos, ceil_log2, dyadic, round_div
 
 CReal = CompletionPoint
@@ -233,6 +233,13 @@ def lt_rat_semidecide(x, q):
     the stage precision; the approximant being within 2**-k of x makes that a
     certificate, and every true inequality has a stage fine enough to see its
     gap.  x at or above q never fires a stage.
+
+    Lag-two lemma: if stage m fires, then x < q - 2**-m, so every stage
+    n >= m + 2 fires whatever approximant within 2**-n it reads, because
+    3 * 2**-n <= 2**-m.  lag_two_sup therefore polls O(log n) stages at fuel
+    n and gives the full prefix scan's verdict in a single run; repeated
+    runs stay sound and monotone, but may read a memo that a finer run in
+    between refined.
     """
     q = Fraction(q)
 
@@ -242,7 +249,7 @@ def lt_rat_semidecide(x, q):
             return TOP
         return never()
 
-    return countable_sup(stage)
+    return lag_two_sup(stage)
 
 
 def is_positive(x):
@@ -266,6 +273,9 @@ def find_apart_witness(x, fuel):
     2**-k <= |x| and the approximant's sign.  A zero real passes no stage, so
     the scan runs out of fuel; a real apart from zero passes every stage fine
     enough to dominate the approximation error.
+
+    The scan stays linear: the least passing stage gives the widest gap,
+    and recip_witnessed's precision offsets grow with the witness's stage.
     """
     for k in range(fuel + 1):
         d = dyadic(k)

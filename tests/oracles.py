@@ -13,6 +13,8 @@ from fractions import Fraction
 
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
                                     Neg, RatLit, Sub)
+from cauchyreal.partiality import TOP, countable_sup, never
+from cauchyreal.rational import dyadic
 
 
 def eval_exact(node):
@@ -101,3 +103,13 @@ def ceil_log2(q):
         k -= 1
     # 2**k <= q; back off unless exactly on a power
     return k if Fraction(2) ** k == q else k + 1
+
+
+def full_scan_lt(x, q):
+    """x < q semi-decided by the stage rule of lt_rat_semidecide as a full
+    prefix scan: at fuel n, every stage m <= n is polled until one fires."""
+    def stage(k):
+        d = dyadic(k)
+        return TOP if x.approximate(d) < q - 2 * d else never()
+
+    return countable_sup(stage)

@@ -1,12 +1,14 @@
 import shutil
 import subprocess
+import sys
+import threading
 from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 from io import StringIO
 
 import pytest
 
-from cauchyreal import Enclosure, dyadic, evaluate_enclosure, parse
+from cauchyreal import Enclosure, cli, dyadic, evaluate_enclosure, parse
 from cauchyreal.cli import decimal_digits, format_decimal, main
 
 from oracles import eval_exact
@@ -166,6 +168,58 @@ def test_eval_prints_answers_past_the_int_to_str_limit(text, prec):
     assert hi - lo == 2 * dyadic(prec)
     assert lo <= value <= hi
     assert _exact(answer["lo.decimal"]) <= value <= _exact(answer["hi.decimal"])
+
+
+_ONES = "1" * 5000
+
+
+@pytest.mark.parametrize("text, value", [
+    (_ONES + " + 1/3", Fraction(Decimal(_ONES)) + Fraction(1, 3)),
+    ("0." + _ONES, Fraction(Decimal("0." + _ONES))),
+    ("1/" + _ONES, 1 / Fraction(Decimal(_ONES)))])
+def test_eval_reads_literals_past_the_int_to_str_limit(text, value):
+    code, out, err = run_main(["eval", text, "--prec", "8"])
+    assert (code, err) == (0, "")
+    answer = dict(line.split("=", 1) for line in out.splitlines())
+    lo, hi = _exact(answer["lo"]), _exact(answer["hi"])
+    assert hi - lo == 2 * dyadic(8)
+    assert lo <= value <= hi
+
+
+def test_main_from_threads_prints_what_sequential_calls_print():
+    # the parser is shared once built; four threads race to build it, then
+    # run every command kind and both kinds of error side by side
+    argvs = [["eval", "1/(3 + below(0)) * below(2)", "--prec", "80"],
+             ["eval", "max(below(1/7), 1/7)", "--format", "decimal"],
+             ["sign", "below(1/1024) - 1/2048", "--fuel", "64"],
+             ["sign", "below(0) - 1/1048576"],
+             ["compare", "1/2", "below(1/2)", "--fuel", "96"],
+             ["compare", "below(2)", "3/2"],
+             ["eval", "1 +"],
+             ["eval", "1", "--prec", "-1"]]
+    expected = [run_main(argv) for argv in argvs]
+    cli._build_parser.cache_clear()
+    barrier = threading.Barrier(4, timeout=30)
+    results = {}
+
+    def work(seed):
+        barrier.wait()
+        order = argvs[seed:] + argvs[:seed]
+        results[seed] = [run_main(argv) for argv in order * 3]
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for seed in range(4):
+        assert results[seed] == (expected[seed:] + expected[:seed]) * 3
 
 
 def test_format_decimal_rounds_outward():

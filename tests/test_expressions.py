@@ -11,7 +11,7 @@ from oracles import eval_exact
 
 def test_tokenize_positions_and_kinds():
     toks = tokenize("1 + max(2.5, x)")
-    assert toks[0] == ("int", Fraction(1), 0)
+    assert toks[0] == ("int", 1, 0) and type(toks[0][1]) is int
     assert toks[1] == ("sym", "+", 2)
     assert toks[2] == ("name", "max", 4)
     assert toks[4] == ("dec", Fraction(5, 2), 8)

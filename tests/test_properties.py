@@ -9,11 +9,13 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from cauchyreal import build_real, dyadic, evaluate_enclosure, format_expr, parse
+from cauchyreal import (build_real, dyadic, evaluate_enclosure, format_expr,
+                        from_rat, interleave, is_positive, lt_rat_semidecide,
+                        neg, parse, sub)
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
                                     Neg, RatLit, Sub)
 
-from oracles import eval_exact
+from oracles import eval_exact, full_scan_lt
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None,
                              max_examples=100)
@@ -71,3 +73,22 @@ def test_negative_literal_prints_as_a_negation():
     assert format_expr(node) == "-2/3"
     assert parse(format_expr(node)) == Neg(RatLit(Fraction(2, 3)))
     assert parse(format_expr(FromBelow(Fraction(-2, 3)))) == FromBelow(Fraction(-2, 3))
+
+
+_NEAR = st.fractions(min_value=-dyadic(40), max_value=dyadic(40),
+                     max_denominator=2 ** 60)
+
+
+@PROPERTY_SETTINGS
+@given(expressions(4), _NEAR, st.integers(min_value=0, max_value=96))
+def test_lt_rat_and_sign_give_the_full_scan_verdict(node, offset, fuel):
+    q = eval_exact(node) + offset
+    assert (lt_rat_semidecide(build_real(node), q).run(fuel)
+            == full_scan_lt(build_real(node), q).run(fuel))
+    # the sign of x - q, whose two scans share x - q's memo
+    def shifted():
+        return sub(build_real(node), from_rat(q))
+
+    z = shifted()
+    reference = interleave(full_scan_lt(neg(z), 0), full_scan_lt(z, 0))
+    assert is_positive(shifted()).run(fuel) == reference.run(fuel)

@@ -13,7 +13,7 @@ from cauchyreal import (ONE, PENDING, STAR, ZERO, ApartnessWitness,
                         lt_rat_semidecide, meet, mul, neg, parse,
                         recip_witnessed, scale, sub)
 
-from oracles import first_k_with_margin
+from oracles import first_k_with_margin, full_scan_lt
 
 
 def below(q):
@@ -246,6 +246,57 @@ def test_lt_rat_verdict_at_fixed_fuel_reads_the_memo():
     s = lt_rat_semidecide(x, 0)
     assert s.run(10) == Done(STAR)
     assert s.run(11) == Done(STAR)
+
+
+def _recording_below_zero(polls):
+    # below(0)'s rule, 0 - eps/2, recording the precision of each request
+    def approx(eps):
+        polls.append(eps)
+        return -eps / 2
+
+    return CompletionPoint(approx)
+
+
+def test_lt_rat_polls_logarithmically_many_stages():
+    # the full prefix scan polls all 257 stages 0..256
+    polls = []
+    s = lt_rat_semidecide(_recording_below_zero(polls), 0)
+    assert s.run(256) is PENDING
+    assert len(polls) <= 2 * 8 + 2
+    assert polls[-2:] == [dyadic(255), dyadic(256)]
+    # stage 11 is the first to fire on x < 2**-10; no stage past 2*11 + 4
+    polls = []
+    s = lt_rat_semidecide(_recording_below_zero(polls), dyadic(10))
+    assert s.run(256) == Done(STAR)
+    assert min(polls) >= dyadic(2 * 11 + 4)
+
+
+def test_lt_rat_growing_fuel_polls_each_stage_once():
+    polls = []
+    s = lt_rat_semidecide(_recording_below_zero(polls), 0)
+    for n in range(65):
+        assert s.run(n) is PENDING
+    assert polls == [dyadic(k) for k in range(65)]
+    assert s.run(40) is PENDING
+    assert len(polls) == 65
+
+
+def test_lt_rat_polls_the_stage_before_the_last():
+    # approximants off by 9/10 of their allowance, below x at even stages and
+    # above it at odd ones: stage 10 fires on x < q and stage 11 does not,
+    # so a run at fuel 11 must poll stage 10
+    def wobbling():
+        def approx(eps):
+            k = eps.denominator.bit_length() - 1
+            return (Fraction(9, 10) if k % 2 else Fraction(-9, 10)) * eps
+
+        return CompletionPoint(approx)
+
+    q = Fraction(5, 4) * dyadic(10)
+    assert [full_scan_lt(wobbling(), q).run(n) for n in (10, 11)] == [Done(STAR)] * 2
+    assert full_scan_lt(wobbling(), q).run(9) is PENDING
+    for n in range(41):
+        assert lt_rat_semidecide(wobbling(), q).run(n) == full_scan_lt(wobbling(), q).run(n)
 
 
 def test_is_positive_resolves_signs():
