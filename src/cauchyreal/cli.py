@@ -12,11 +12,13 @@ import functools
 import sys
 
 from dataclasses import dataclass
+from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, DivisionByZero,
+                     Inexact, InvalidOperation, Overflow)
 from fractions import Fraction
 
 from .expressions import ParseError, WitnessSearchError, build_real, parse
 from .partiality import PENDING
-from .rational import dyadic, dyadic_rat, format_int, format_rat
+from .rational import dyadic, dyadic_rat, format_int
 from .reals import compare_partial, is_positive
 
 EXIT_OK = 0
@@ -97,12 +99,77 @@ def format_decimal(q, digits, round_up):
         n = -(-scaled // q.denominator)
     else:
         n = scaled // q.denominator
+    return _with_point(n, format_int(abs(n)), digits)
+
+
+def _with_point(n, text, digits):
+    """n * 10**-digits in decimal, where text is |n| in decimal."""
     sign = "-" if n < 0 else ""
-    s = format_int(abs(n))
     if digits == 0:
-        return sign + s
-    s = s.rjust(digits + 1, "0")
-    return "%s%s.%s" % (sign, s[:-digits], s[-digits:])
+        return sign + text
+    text = text.rjust(digits + 1, "0")
+    return "%s%s.%s" % (sign, text[:-digits], text[-digits:])
+
+
+# Integer arithmetic on Decimals, exact or raising: precision and exponents
+# are unbounded, and a rounding would trap.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
+                 traps=[Inexact, InvalidOperation, DivisionByZero, Overflow])
+
+
+def _ratio(num, den):
+    """format_rat's text for num/den, from their Decimals."""
+    return str(num) if den == 1 else "%s/%s" % (num, den)
+
+
+def _twos(n):
+    """The exponent of the greatest power of two dividing n > 0."""
+    return (n & -n).bit_length() - 1
+
+
+def _write_enclosure(out, box, prec, fmt):
+    """Write what format_rat and format_decimal give for eps = 2**-prec and
+    box = [m - eps, m + eps], converting each big integer to decimal once.
+
+    Both endpoints' denominators are odd * 2**s for the odd part of m's, so
+    over odd * 2**e, for e the greatest s or prec, their numerators a, b
+    differ by 2 * odd * 2**(e - prec), and their decimal lines' integers by
+    about 20.  So 2**e is computed in Decimal once and divided down, the
+    numerator of lo and the integer of lo.decimal are converted, and those
+    of hi are exact Decimal sums of the small differences.  The decimal
+    lines' integers are shifts, as digits <= prec <= e:
+
+        floor(x * 10**digits / (odd * 2**e))
+            = floor(floor(x * 5**digits / 2**(e - digits)) / odd).
+    """
+    lo, hi = box.lo, box.hi
+    s_lo = _twos(lo.denominator)
+    s_hi = _twos(hi.denominator)
+    odd = lo.denominator >> s_lo
+    e = max(s_lo, s_hi, prec)
+    power = _EXACT.power(2, e)
+
+    def pow2(s):
+        return _EXACT.divide_int(power, 1 << (e - s))
+
+    out.write("eps=%s\n" % _ratio(1, pow2(prec)))
+    a = lo.numerator << (e - s_lo)
+    b = hi.numerator << (e - s_hi)
+    if fmt in ("rational", "both"):
+        num_lo = Decimal(lo.numerator)
+        num_hi = _EXACT.divide_int(
+            _EXACT.add(_EXACT.multiply(num_lo, 1 << (e - s_lo)), b - a), 1 << (e - s_hi))
+        out.write("lo=%s\n" % _ratio(num_lo, _EXACT.multiply(pow2(s_lo), odd)))
+        out.write("hi=%s\n" % _ratio(num_hi, _EXACT.multiply(pow2(s_hi), odd)))
+    if fmt in ("decimal", "both"):
+        digits = decimal_digits(prec)
+        five = 5 ** digits
+        n_lo = ((a * five) >> (e - digits)) // odd
+        n_hi = -(((-b * five) >> (e - digits)) // odd)
+        dec_lo = Decimal(n_lo)
+        dec_hi = _EXACT.add(dec_lo, n_hi - n_lo)
+        out.write("lo.decimal=%s\n" % _with_point(n_lo, str(dec_lo.copy_abs()), digits))
+        out.write("hi.decimal=%s\n" % _with_point(n_hi, str(dec_hi.copy_abs()), digits))
 
 
 class _UsageError(Exception):
@@ -158,15 +225,7 @@ def _build_parser():
 
 
 def cmd_eval(expr, prec, witness_fuel, fmt, out):
-    enclosure = evaluate_enclosure(expr, prec, witness_fuel)
-    out.write("eps=%s\n" % format_rat(dyadic(prec)))
-    if fmt in ("rational", "both"):
-        out.write("lo=%s\n" % format_rat(enclosure.lo))
-        out.write("hi=%s\n" % format_rat(enclosure.hi))
-    if fmt in ("decimal", "both"):
-        digits = decimal_digits(prec)
-        out.write("lo.decimal=%s\n" % format_decimal(enclosure.lo, digits, False))
-        out.write("hi.decimal=%s\n" % format_decimal(enclosure.hi, digits, True))
+    _write_enclosure(out, evaluate_enclosure(expr, prec, witness_fuel), prec, fmt)
     return EXIT_OK
 
 

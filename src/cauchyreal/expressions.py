@@ -318,14 +318,37 @@ def build_real(node, witness_fuel=64):
     Division searches an apartness witness for its denominator within
     witness_fuel stages; a failed search raises WitnessSearchError rather
     than returning a bogus real.
+
+    Equal subexpressions become one point, so its approximations and its
+    witness search are done once.  A table that lives for this call maps a
+    leaf's (class, numerator, denominator) and an operation's (class, ids
+    of its operands' reals) to the real built for it; it holds every real
+    whose id it uses, so no id is reused while it lives.  A key costs O(1)
+    per node, where hashing the AST would cost its size.
     """
+    return _build(node, witness_fuel, {})
+
+
+def _build(node, witness_fuel, shared):
+    # a module-level function, not a closure over shared: a recursive
+    # closure is a reference cycle, which would keep every point in shared
+    # alive until the cycle collector runs
     operation = _row(node)[1]
     if isinstance(node, _Binary):
-        left = build_real(node.left, witness_fuel)
-        right = build_real(node.right, witness_fuel)
+        operands = (_build(node.left, witness_fuel, shared),
+                    _build(node.right, witness_fuel, shared))
+        key = (type(node), id(operands[0]), id(operands[1]))
+    elif isinstance(node, _Unary):
+        operands = (_build(node.operand, witness_fuel, shared),)
+        key = (type(node), id(operands[0]))
+    else:
+        operands = (node.value,)
+        key = (type(node), node.value.numerator, node.value.denominator)
+    real = shared.get(key)
+    if real is None:
         if operation is _divide:
-            return _divide(left, right, witness_fuel)
-        return operation(left, right)
-    if isinstance(node, _Unary):
-        return operation(build_real(node.operand, witness_fuel))
-    return operation(node.value)
+            real = _divide(*operands, witness_fuel)
+        else:
+            real = operation(*operands)
+        shared[key] = real
+    return real

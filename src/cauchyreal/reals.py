@@ -161,6 +161,13 @@ def mul(x, y, x_bound=None, y_bound=None):
 
     and rounding U*V to the grid adds at most 2**-(k+1).
 
+    x is read before y.  In a left-deep chain of products with one shared
+    right operand, such as Horner's rule u*x + c, the innermost mul then asks
+    the shared point for the finest precision first, and each outer mul's
+    coarser request is served from its memo by a rounding shift.  The rule
+    only orders the two operands of one product: a shared point whose first
+    request is not its finest computes again for each finer one.
+
     Custom bounds must genuinely bound the operands; any valid choice denotes
     the same real.
     """
@@ -172,9 +179,9 @@ def mul(x, y, x_bound=None, y_bound=None):
     eb = ceil_log2(b.numerator, b.denominator)
 
     def scaled(k):
+        u = x.scaled(k + ea + 2)
         clip = 1 << (k + ea + eb + 2)
-        v = max(-clip, min(clip, y.scaled(k + eb + 2)))
-        p = x.scaled(k + ea + 2) * v
+        p = u * max(-clip, min(clip, y.scaled(k + eb + 2)))
         s = k + ea + eb + 4
         return (p + (1 << (s - 1))) >> s
 

@@ -1,3 +1,4 @@
+import os
 import shutil
 import subprocess
 import sys
@@ -5,10 +6,12 @@ import threading
 from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
-from cauchyreal import Enclosure, cli, dyadic, evaluate_enclosure, parse
+from cauchyreal import (Enclosure, cli, dyadic, evaluate_enclosure, expressions,
+                        parse, reals)
 from cauchyreal.cli import decimal_digits, format_decimal, main
 
 from oracles import eval_exact
@@ -124,6 +127,31 @@ def test_usage_errors_exit_one():
         assert err.startswith("error=usage\n")
 
 
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def creal(*argv):
+        done = subprocess.run([sys.executable, "-m", "cauchyreal", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert "Traceback" not in done.stderr
+        return done.returncode, done.stdout, done.stderr
+
+    assert creal("eval", "2/7", "--prec", "5") == (
+        0, "eps=1/32\nlo=57/224\nhi=71/224\nlo.decimal=0.25\nhi.decimal=0.32\n", "")
+    assert creal("sign", "--fuel", "64", "--", "-1/1000000") == (
+        0, "verdict=negative\nfuel=64\n", "")
+    code, out, err = creal("eval", "1 + * 2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error=syntax\nposition=4\nmessage=")
+    code, out, err = creal("eval", "1", "--prec", "-1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error=usage\nmessage=")
+    code, out, err = creal("eval", "1/(1-1)")
+    assert (code, out) == (2, "")
+    assert err.startswith("error=witness\nfuel=72\nmessage=")
+
+
 def test_decimal_digits():
     assert decimal_digits(-3) == 0
     assert decimal_digits(0) == 0
@@ -168,6 +196,34 @@ def test_eval_prints_answers_past_the_int_to_str_limit(text, prec):
     assert hi - lo == 2 * dyadic(prec)
     assert lo <= value <= hi
     assert _exact(answer["lo.decimal"]) <= value <= _exact(answer["hi.decimal"])
+
+
+def _count_calls(monkeypatch, module, name, counted=lambda *args: True):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        if counted(*args):
+            calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_repeated_subexpression_is_searched_and_divided_once(monkeypatch):
+    # the eight x of P(x) are one point: one witness search, and one
+    # 32,000-by-16,000-bit division serves every product's request
+    searches = _count_calls(monkeypatch, expressions, "find_apart_witness")
+    divisions = _count_calls(monkeypatch, reals, "round_div",
+                             lambda n, d: n.bit_length() > 16000)
+    text = _horner("1/(3 + below(0))")
+    code, out, err = run_main(["eval", text, "--prec", "16000"])
+    assert (code, err) == (0, "")
+    assert (len(searches), len(divisions)) == (1, 1)
+    answer = dict(line.split("=", 1) for line in out.splitlines())
+    lo = _exact(answer["lo"])
+    assert lo <= eval_exact(parse(text)) <= lo + 2 * dyadic(16000)
 
 
 _ONES = "1" * 5000

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from cauchyreal import ParseError, WitnessSearchError, build_real, dyadic, format_expr, parse
+from cauchyreal import (ParseError, WitnessSearchError, build_real, dyadic, expressions,
+                        format_expr, parse)
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
                                     Neg, RatLit, Sub, tokenize)
 
@@ -126,3 +127,31 @@ def test_eval_exact_agrees_on_frozen_values():
     assert eval_exact(parse("2/7 + 3.5 * (1 - 2/3)")) == Fraction(61, 42)
     assert eval_exact(parse("1/2/3")) == Fraction(1, 6)
     assert eval_exact(parse("min(max(below(-2), -1), max(below(2), 1))")) == -1
+
+
+def test_sharing_keys_on_class_and_operands():
+    # (a + b) * (a - b) is -3, and 2 * below(2) has no exact tag: merging
+    # Add with Sub or a literal with below() of the same value would show
+    for text in ("(below(1) + below(2)) * (below(1) - below(2))",
+                 "2 * below(2)", "below(2) - 2"):
+        node = parse(text)
+        point = build_real(node)
+        assert point.exact is None
+        eps = dyadic(30)
+        assert abs(point.approximate(eps) - eval_exact(node)) <= eps
+
+
+def test_equal_subtrees_build_one_point(monkeypatch):
+    built = []
+    for cls in (FromBelow, Add, Mul):
+        template, operation = expressions._NODES[cls]
+
+        def counting(*args, cls=cls, operation=operation):
+            built.append(cls.__name__)
+            return operation(*args)
+
+        monkeypatch.setitem(expressions._NODES, cls, (template, counting))
+    point = build_real(parse("(below(1) + below(1)) * (below(1) + below(1))"))
+    # one below(1), one sum and the product
+    assert sorted(built) == ["Add", "FromBelow", "Mul"]
+    assert abs(point.approximate(dyadic(20)) - 4) <= dyadic(20)

@@ -6,12 +6,14 @@ non-negative except inside below(...), as the parser makes them.
 """
 
 from fractions import Fraction
+from io import StringIO
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cauchyreal import (build_real, dyadic, evaluate_enclosure, format_expr,
-                        from_rat, interleave, is_positive, lt_rat_semidecide,
-                        neg, parse, sub)
+                        format_rat, from_rat, interleave, is_positive,
+                        lt_rat_semidecide, neg, parse, sub)
+from cauchyreal.cli import cmd_eval, decimal_digits, format_decimal
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
                                     Neg, RatLit, Sub)
 
@@ -92,3 +94,44 @@ def test_lt_rat_and_sign_give_the_full_scan_verdict(node, offset, fuel):
     z = shifted()
     reference = interleave(full_scan_lt(neg(z), 0), full_scan_lt(z, 0))
     assert is_positive(shifted()).run(fuel) == reference.run(fuel)
+
+
+@st.composite
+def eval_calls(draw):
+    """(text, k, format) for cmd_eval, whose endpoints m -/+ 2**-k are
+    negative or not, zero, integers, dyadic or not."""
+    k = draw(st.sampled_from((0, 1, 64, 4000, 16000)))
+    whole = draw(st.integers(min_value=-40, max_value=40))
+    kind = draw(st.sampled_from(("integer", "dyadic", "fraction", "generic")))
+    if kind == "generic":
+        node = draw(expressions(3))
+    elif kind == "integer":  # an endpoint is whole, zero when whole is 0
+        node = RatLit(whole + draw(st.sampled_from((-1, 1))) * dyadic(k))
+    elif kind == "dyadic":
+        j = draw(st.integers(min_value=0, max_value=k + 4))
+        node = RatLit(whole + Fraction(draw(st.integers(min_value=0, max_value=2 ** j)),
+                                       2 ** j))
+    else:
+        node = RatLit(whole + draw(st.fractions(min_value=0, max_value=1,
+                                                max_denominator=10 ** 6)))
+    return format_expr(node), k, draw(st.sampled_from(("rational", "decimal", "both")))
+
+
+@PROPERTY_SETTINGS
+@given(eval_calls())
+@example(("0", 16000, "both"))
+@example((format_expr(RatLit(-dyadic(16000))), 16000, "both"))
+@example(("-7", 0, "both"))
+def test_eval_prints_what_the_reference_formatters_give(call):
+    text, k, fmt = call
+    box = evaluate_enclosure(text, k)
+    digits = decimal_digits(k)
+    lines = ["eps=" + format_rat(dyadic(k))]
+    if fmt != "decimal":
+        lines += ["lo=" + format_rat(box.lo), "hi=" + format_rat(box.hi)]
+    if fmt != "rational":
+        lines += ["lo.decimal=" + format_decimal(box.lo, digits, False),
+                  "hi.decimal=" + format_decimal(box.hi, digits, True)]
+    out = StringIO()
+    assert cmd_eval(text, k, None, fmt, out) == 0
+    assert out.getvalue() == "".join(line + "\n" for line in lines)
