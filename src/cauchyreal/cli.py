@@ -4,11 +4,13 @@ Output is line-oriented key=value pairs on stdout; errors go to stderr in the
 same shape.  Exit codes: 0 for a computed verdict (including unknown), 1 for
 input that does not parse or a bad command line (such as a negative --prec,
 --fuel or --witness-fuel), 2 for a division that cannot certify its
-denominator apart from zero.
+denominator apart from zero.  A usage error caused by an expression with a
+leading minus, which argparse takes for a flag, ends with a hint= line.
 """
 
 import argparse
 import functools
+import re
 import sys
 
 from dataclasses import dataclass
@@ -194,6 +196,20 @@ def _budget(text):
     return value
 
 
+_FLAGS = ("-h", "--help", "--prec", "--witness-fuel", "--format", "--fuel")
+_NEGATIVE_NUMBER = re.compile(r"-\d*\.?\d+$")
+
+
+def _reads_as_flag(argv):
+    """Whether a token before any -- starts with - and is neither a flag,
+    nor a prefix of one, nor a negative number: argparse then takes it for
+    an unknown flag, as it does an expression with a leading minus."""
+    head = argv[:argv.index("--")] if "--" in argv else argv
+    return any(token.startswith("-") and not _NEGATIVE_NUMBER.match(token)
+               and not any(flag.startswith(token.split("=", 1)[0]) for flag in _FLAGS)
+               for token in head)
+
+
 @functools.cache
 def _build_parser():
     """The parser, built on first use and shared: parsing does not change it."""
@@ -238,8 +254,7 @@ def cmd_compare(a, b, fuel, witness_fuel, out):
     witness_fuel = _witness_fuel(witness_fuel, fuel)
     x = build_real(parse(a), witness_fuel)
     y = build_real(parse(b), witness_fuel)
-    # Both orientations run at the same fuel; soundness of the strict
-    # comparison means at most one can fire.
+    # One scan decides both orientations: the sign of y - x.
     return _write_verdict(out, compare_partial(x, y).run(fuel), fuel, "lt", "gt")
 
 
@@ -263,6 +278,8 @@ def main(argv=None, out=None, err=None):
     except _UsageError as exc:
         err.write("error=usage\n")
         err.write("message=%s\n" % exc)
+        if _reads_as_flag(sys.argv[1:] if argv is None else argv):
+            err.write("hint=put flags first, then --, then the expression\n")
         return EXIT_SYNTAX
     try:
         if args.command == "eval":

@@ -47,7 +47,13 @@ class CompletionPoint:
 
     Points carrying an exact base element (built by eta) keep it in `exact`
     and answer every request with it; operations use the tag to fast-path
-    exact inputs.  Instances are safe to share between threads.
+    exact inputs.
+
+    Instances are safe to share between threads.  Reads take no lock:
+    _memo is one slot holding an immutable pair, so a racing reader sees the
+    old pair or the new one, and either is a valid answer.  The lock only
+    makes the check and the store one step, so that a coarser answer never
+    replaces a finer one.
     """
 
     __slots__ = ("_approx", "_scaled", "exact", "_lock", "_memo")
@@ -194,9 +200,7 @@ def close_semidecide(eps, x, y):
     close(eps - 2d, x(d), y(d)).  Acceptance at any stage certifies
     closeness; every strictly eps-close pair has a stage fine enough to see
     the slack, and a pair at distance exactly eps or more never fires.
-
-    The scan is countable_sup's full one: the threshold leaves no margin, so
-    a firing stage does not make the finer stages fire (see lag_two_sup).
+    The scan is countable_sup's full one, for the reason given there.
     """
     space = x.space
 

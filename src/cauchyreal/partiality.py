@@ -117,8 +117,6 @@ def sup_seq(s):
 
 def map_partial(f, p):
     """Apply f to the result of p, preserving the firing fuel."""
-    if isinstance(p, _Now):
-        return now(f(p.run(0).value))
     if isinstance(p, _Never):
         return p
 
@@ -133,15 +131,6 @@ def map_partial(f, p):
 
 def join_sier(a, b):
     """Least upper bound of two semi-decisions: fires as soon as either does."""
-    if isinstance(a, _Never):
-        return b
-    if isinstance(b, _Never):
-        return a
-    if isinstance(a, _Now):
-        return a
-    if isinstance(b, _Now):
-        return b
-
     def step(n):
         out = a.run(n)
         if out is not PENDING:
@@ -154,6 +143,11 @@ def join_sier(a, b):
 class _CountableSup(Partial):
     """Fires at fuel n iff some stage f(m) with m <= n is Done at fuel n.
 
+    This is the general scan: the stages are arbitrary semi-decisions, with
+    no lag between them, so every stage up to n is polled.
+    close_semidecide runs on it because no lag holds there: its threshold
+    has no margin, so a firing stage does not make the finer ones fire, and
+    closeness on nested carriers is a one-sided, fuel-bounded test.
     Joining the prefix of stages restores monotonicity, so f need not be
     increasing.  Stages are instantiated lazily and classified once:
     constant stages (now / never) are never re-polled, the scan stops at the
@@ -203,47 +197,67 @@ def countable_sup(f):
 
 
 class _LagTwoSup(Partial):
-    """countable_sup of stages that are TOP or never() and fire with a lag
-    of two: if stage m fires, so does every stage n >= m + 2.
+    """The least firing stage of stages that are now(value) or never() and
+    fire with a lag of two: if stage m fires, so does every stage n >= m + 2.
 
-    A firing stage m <= n - 2 then makes stage n fire, so the prefix join of
-    stages 0..n is the join of stages n - 1 and n, and a run at fuel n polls
+    A firing stage m <= n - 2 then makes stage n fire, so the prefix scan of
+    stages 0..n fires iff stage n - 1 or n does, and a run at fuel n polls
     just those, after the coarse stages 0, 1, 2, 4, 8, ... below n - 1 that
-    let an easy verdict stop at low precision.  A single run gives the full
-    prefix scan's verdict.  _fired_at is the least fuel known to fire (a run
-    there polls the stage that fired); _pending is the greatest stage up to
-    which all are known pending, which a run pending at fuel n raises to n,
-    so a loop of growing fuel polls one new stage per run.  Stages may read
-    state that other work refines (a point's memo), so repeated runs can
-    differ from the full scan's; they stay sound and monotone in fuel.
+    let an easy verdict stop at low precision.  Once a stage fires, a
+    pending stage t rules out every stage up to t - 2, so bisection from the
+    last pending stage to the firing one ends at a firing stage h whose
+    stage h - 1 is pending; the least firing stage is then h, or h - 2 when
+    that fires.  A single run thus answers the full prefix scan's outcome,
+    the value of its least firing stage, in O(log n) polls.
+
+    _fired_at is that stage, and a run at lower fuel stays pending, as the
+    run that fired found; _pending is the greatest stage up to which all are
+    known pending, which a run pending at fuel n raises to n, so a loop of
+    growing fuel polls one new stage per run.  Stages may read state that
+    other work refines (a point's memo), so repeated runs can differ from
+    the full scan's; they stay sound and monotone in fuel.
     """
 
-    __slots__ = ("_f", "_lock", "_fired_at", "_pending")
+    __slots__ = ("_f", "_lock", "_fired_at", "_outcome", "_pending")
 
     def __init__(self, f):
         self._f = f
         self._lock = threading.Lock()
-        self._fired_at = None   # least fuel known to produce Done
+        self._fired_at = None   # the least firing stage, once a run fired
+        self._outcome = None    # its outcome
         self._pending = -1      # every stage up to here is known pending
 
     def run(self, fuel):
         with self._lock:
-            if self._fired_at is not None and fuel >= self._fired_at:
-                return Done(STAR)
-            m = 0
-            while m <= fuel:
-                if m > self._pending and isinstance(self._f(m), _Now):
-                    self._fired_at = m
-                    return Done(STAR)
-                # double through the coarse stages, then the last two
-                m = max(m + 1, min(2 * m, fuel - 1))
-            self._pending = max(self._pending, fuel)
-            return PENDING
+            if self._fired_at is not None:
+                return self._outcome if fuel >= self._fired_at else PENDING
+            lo, hi = self._pending + 1, None   # no stage below lo but lo - 2 fires
+            t = 0
+            while t <= fuel and (hi is None or lo < hi):
+                if t >= lo:
+                    stage = self._f(t)
+                    if isinstance(stage, _Now):
+                        hi, fired = t, stage
+                    else:
+                        lo = t + 1
+                # double through the coarse stages, then the last two; once
+                # a stage fires, bisect
+                t = max(t + 1, min(2 * t, fuel - 1)) if hi is None else (lo + hi) // 2
+            if hi is None:
+                self._pending = max(self._pending, fuel)
+                return PENDING
+            if hi - 2 > self._pending:
+                stage = self._f(hi - 2)
+                if isinstance(stage, _Now):
+                    hi, fired = hi - 2, stage
+            self._fired_at, self._outcome = hi, fired.run(0)
+            return self._outcome
 
 
 def lag_two_sup(f):
-    """countable_sup(f) for stages that fire with a lag of two (see
-    _LagTwoSup), polling O(log n) stages at fuel n."""
+    """The least firing stage of f, for stages that are now(value) or
+    never() and fire with a lag of two (see _LagTwoSup): Done(value) of the
+    least stage m <= n that fires, polling O(log n) stages at fuel n."""
     return _LagTwoSup(f)
 
 
@@ -254,11 +268,6 @@ def interleave(a, b):
     a and b never both hold; a is inspected first at each fuel, which is
     unobservable under that contract.
     """
-    if isinstance(a, _Now):
-        return now(True)
-    if isinstance(a, _Never):
-        return map_partial(lambda _: False, b)
-
     def step(n):
         if a.run(n) is not PENDING:
             return Done(True)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .completion import CompletionPoint, eta
-from .partiality import TOP, interleave, lag_two_sup, never
+from .partiality import PENDING, TOP, lag_two_sup, map_partial, never, now
 from .rational import QPos, ceil_log2, dyadic, round_div
 
 CReal = CompletionPoint
@@ -259,13 +259,37 @@ def lt_rat_semidecide(x, q):
     return lag_two_sup(stage)
 
 
+def _apart(x):
+    """Semi-decide that x is apart from zero; the value is the witness.
+
+    Stage k accepts when |x(2**-k)| > 2 * 2**-k, which certifies
+    2**-k <= |x| and the approximant's sign, and answers that certificate.
+    A zero real passes no stage; a real apart from zero passes every stage
+    fine enough to dominate the approximation error.
+
+    Lag-two lemma: if stage m passes, then |x| > 2**-m, so every stage
+    n >= m + 2 passes with the same sign whatever approximant within 2**-n
+    it reads, because |x| - 2**-n > 3 * 2**-n.  lag_two_sup therefore
+    answers the least passing stage, whose gap is the widest, in O(log n)
+    polls at fuel n.
+    """
+    def stage(k):
+        d = dyadic(k)
+        a = x.approximate(d)
+        if abs(a) > 2 * d:
+            return now(ApartnessWitness(a > 0, d))
+        return never()
+
+    return lag_two_sup(stage)
+
+
 def is_positive(x):
     """Semi-decide the sign: Done(True) iff 0 < x, Done(False) iff x < 0.
 
-    Interleaves the two strict comparisons, which are disjoint, so the
-    verdict is unambiguous; a zero real stays pending at every fuel.
+    The sign of x's apartness witness: one scan, whose stages certify
+    either side, so a zero real stays pending at every fuel.
     """
-    return interleave(lt_rat_semidecide(neg(x), 0), lt_rat_semidecide(x, 0))
+    return map_partial(lambda witness: witness.positive, _apart(x))
 
 
 def compare_partial(x, y):
@@ -274,19 +298,12 @@ def compare_partial(x, y):
 
 
 def find_apart_witness(x, fuel):
-    """Scan for an apartness-from-zero certificate; None if none fires in fuel.
+    """An apartness-from-zero certificate from the stages up to fuel; None
+    if none passes.
 
-    Stage k accepts when |x(2**-k)| > 2 * 2**-k, which certifies
-    2**-k <= |x| and the approximant's sign.  A zero real passes no stage, so
-    the scan runs out of fuel; a real apart from zero passes every stage fine
-    enough to dominate the approximation error.
-
-    The scan stays linear: the least passing stage gives the widest gap,
-    and recip_witnessed's precision offsets grow with the witness's stage.
+    The witness scan of is_positive run at fuel: its least passing stage k
+    gives the widest gap 2**-k, and recip_witnessed's precision offsets
+    grow with k.
     """
-    for k in range(fuel + 1):
-        d = dyadic(k)
-        a = x.approximate(d)
-        if abs(a) > 2 * d:
-            return ApartnessWitness(a > 0, d)
-    return None
+    out = _apart(x).run(fuel)
+    return None if out is PENDING else out.value

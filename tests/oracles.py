@@ -15,6 +15,7 @@ from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
                                     Neg, RatLit, Sub)
 from cauchyreal.partiality import TOP, countable_sup, never
 from cauchyreal.rational import dyadic
+from cauchyreal.reals import ApartnessWitness
 
 
 def eval_exact(node):
@@ -113,3 +114,15 @@ def full_scan_lt(x, q):
         return TOP if x.approximate(d) < q - 2 * d else never()
 
     return countable_sup(stage)
+
+
+def linear_witness(x, fuel):
+    """The apartness witness of find_apart_witness's stage rule by a linear
+    scan: the first stage k <= fuel with |x(2**-k)| > 2 * 2**-k, whose
+    approximant's sign and 2**-k make the witness; None if none passes."""
+    for k in range(fuel + 1):
+        d = dyadic(k)
+        a = x.approximate(d)
+        if abs(a) > 2 * d:
+            return ApartnessWitness(a > 0, d)
+    return None

@@ -127,6 +127,32 @@ def test_usage_errors_exit_one():
         assert err.startswith("error=usage\n")
 
 
+_HINT = "hint=put flags first, then --, then the expression\n"
+
+
+def test_an_expression_read_as_a_flag_gets_a_hint():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, missing in ((["eval", "-below(1)"], "expr"), (["sign", "-1/3"], "expr"),
+                          (["compare", "1", "-1/2"], "b")):
+        expected = (1, "", "error=usage\nmessage=the following arguments are "
+                    "required: %s\n%s" % (missing, _HINT))
+        assert run_main(argv) == expected
+        done = subprocess.run([sys.executable, "-m", "cauchyreal", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == expected
+    # no hint where no expression was taken for a flag: a missing expression,
+    # a known flag or a prefix of one, a negative number, a token after --
+    for argv in (["eval"], ["eval", "--prec", "5"], ["eval", "--pre", "5"],
+                 ["eval", "1", "--prec", "-1"], ["sign", "--", "-1", "--fuel", "64"],
+                 ["compare", "--", "-1/2"]):
+        code, out, err = run_main(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error=usage\nmessage=") and "hint=" not in err
+    code, _, err = run_main(["eval", "1", "-x"])
+    assert code == 1 and err.endswith(_HINT)
+
+
 def test_python_dash_m_runs_the_command_line():
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)

@@ -10,14 +10,15 @@ from io import StringIO
 
 from hypothesis import example, given, settings, strategies as st
 
-from cauchyreal import (build_real, dyadic, evaluate_enclosure, format_expr,
-                        format_rat, from_rat, interleave, is_positive,
-                        lt_rat_semidecide, neg, parse, sub)
+from cauchyreal import (PENDING, Done, build_real, dyadic, evaluate_enclosure,
+                        find_apart_witness, format_expr, format_rat, from_rat,
+                        interleave, is_positive, lt_rat_semidecide, neg, parse,
+                        sub)
 from cauchyreal.cli import cmd_eval, decimal_digits, format_decimal
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
                                     Neg, RatLit, Sub)
 
-from oracles import eval_exact, full_scan_lt
+from oracles import eval_exact, full_scan_lt, linear_witness
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None,
                              max_examples=100)
@@ -94,6 +95,29 @@ def test_lt_rat_and_sign_give_the_full_scan_verdict(node, offset, fuel):
     z = shifted()
     reference = interleave(full_scan_lt(neg(z), 0), full_scan_lt(z, 0))
     assert is_positive(shifted()).run(fuel) == reference.run(fuel)
+
+
+@PROPERTY_SETTINGS
+@given(expressions(4), _NEAR, st.integers(min_value=0, max_value=96))
+def test_witness_scan_agrees_with_the_linear_scan(node, offset, fuel):
+    # x = -offset on fresh points: the bisection may read a finer memoised
+    # approximant than the linear scan, so its least passing stage can land
+    # a stage coarser than the linear one's, a wider gap
+    q = eval_exact(node) + offset
+
+    def fresh():
+        return sub(build_real(node), from_rat(q))
+
+    witness = find_apart_witness(fresh(), fuel)
+    reference = linear_witness(fresh(), fuel)
+    assert (witness is None) == (reference is None)
+    if witness is None:
+        assert is_positive(fresh()).run(fuel) is PENDING
+        return
+    assert witness.positive == reference.positive == (offset < 0)
+    assert witness.gap <= abs(offset)
+    assert reference.gap / 4 <= witness.gap <= 4 * reference.gap
+    assert is_positive(fresh()).run(fuel) == Done(witness.positive)
 
 
 @st.composite

@@ -13,7 +13,7 @@ from cauchyreal import (ONE, PENDING, STAR, ZERO, ApartnessWitness,
                         lt_rat_semidecide, meet, mul, neg, parse,
                         recip_witnessed, scale, sub)
 
-from oracles import first_k_with_margin, full_scan_lt
+from oracles import first_k_with_margin, full_scan_lt, linear_witness
 
 
 def below(q):
@@ -363,6 +363,22 @@ def test_find_apart_witness_complete_for_apart_values():
         assert w is not None
         assert w.positive == (q > 0)
         assert w.gap <= abs(q)
+
+
+def test_witness_polls_logarithmically_many_stages():
+    # a point 2**-38 above zero, recording each request: stage 40 is the
+    # first to pass, and the linear scan asks for all 41 stages 0..40
+    def recording(polls):
+        def approx(eps):
+            polls.append(eps)
+            return dyadic(38) - eps / 2
+
+        return CompletionPoint(approx)
+
+    polls = []
+    assert find_apart_witness(recording(polls), 264) == ApartnessWitness(True, dyadic(40))
+    assert len(polls) <= 20
+    assert linear_witness(recording([]), 264) == ApartnessWitness(True, dyadic(40))
 
 
 def test_cotransitivity_budget():
