@@ -207,8 +207,9 @@ class _LagTwoSup(Partial):
     pending stage t rules out every stage up to t - 2, so bisection from the
     last pending stage to the firing one ends at a firing stage h whose
     stage h - 1 is pending; the least firing stage is then h, or h - 2 when
-    that fires.  A single run thus answers the full prefix scan's outcome,
-    the value of its least firing stage, in O(log n) polls.
+    that fires, which is polled unless the run already found it pending.  A
+    single run thus answers the full prefix scan's outcome, the value of its
+    least firing stage, in O(log n) polls, none of them twice.
 
     _fired_at is that stage, and a run at lower fuel stays pending, as the
     run that fired found; _pending is the greatest stage up to which all are
@@ -232,6 +233,7 @@ class _LagTwoSup(Partial):
             if self._fired_at is not None:
                 return self._outcome if fuel >= self._fired_at else PENDING
             lo, hi = self._pending + 1, None   # no stage below lo but lo - 2 fires
+            polled = set()                      # the stages this run found pending
             t = 0
             while t <= fuel and (hi is None or lo < hi):
                 if t >= lo:
@@ -240,13 +242,14 @@ class _LagTwoSup(Partial):
                         hi, fired = t, stage
                     else:
                         lo = t + 1
+                        polled.add(t)
                 # double through the coarse stages, then the last two; once
                 # a stage fires, bisect
                 t = max(t + 1, min(2 * t, fuel - 1)) if hi is None else (lo + hi) // 2
             if hi is None:
                 self._pending = max(self._pending, fuel)
                 return PENDING
-            if hi - 2 > self._pending:
+            if hi - 2 > self._pending and hi - 2 not in polled:
                 stage = self._f(hi - 2)
                 if isinstance(stage, _Now):
                     hi, fired = hi - 2, stage

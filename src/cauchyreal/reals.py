@@ -50,7 +50,7 @@ _HALF = Fraction(1, 2)
 
 def from_rat(q):
     """The real denoted by an exact rational, tagged for fast paths."""
-    return eta(Fraction(q))
+    return eta(q if type(q) is Fraction else Fraction(q))
 
 
 def from_below(q):
@@ -60,7 +60,8 @@ def from_below(q):
     The integer path rounds the same approximant at 2**-(k+1), which is
     q - 2**-(k+2), to floor(q * 2**k + 1/4), without building the family.
     """
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     n, d = q.numerator, q.denominator
     return CompletionPoint(lambda eps: q - _HALF * eps,
                            scaled=lambda k: ((n << (k + 2)) + d) // (4 * d))
@@ -234,25 +235,26 @@ def recip_witnessed(x, witness):
 
 
 def lt_rat_semidecide(x, q):
-    """Semi-decide x < q for a rational q.
+    """Semi-decide x < q for a rational q = n/d.
 
-    Stage k fires when x's 2**-k approximant sits below q by more than twice
-    the stage precision; the approximant being within 2**-k of x makes that a
-    certificate, and every true inequality has a stage fine enough to see its
-    gap.  x at or above q never fires a stage.
+    Stage k reads x's integer answer m = x.scaled(k) and fires when
+    (m + 2) * d < n * 2**k, that is when m * 2**-k sits below q by more than
+    twice the stage precision.  As |x - m * 2**-k| < 2**-k, that certifies
+    x < (m + 1) * 2**-k < q - 2**-k, and every true inequality has a stage
+    fine enough to see its gap.  x at or above q never fires a stage.
 
-    Lag-two lemma: if stage m fires, then x < q - 2**-m, so every stage
-    n >= m + 2 fires whatever approximant within 2**-n it reads, because
-    3 * 2**-n <= 2**-m.  lag_two_sup therefore polls O(log n) stages at fuel
-    n and gives the full prefix scan's verdict in a single run; repeated
-    runs stay sound and monotone, but may read a memo that a finer run in
-    between refined.
+    Lag-two lemma: if stage j fires, then x < q - 2**-j, so at every stage
+    n >= j + 2 the answer has m * 2**-n < q - 3 * 2**-n, because
+    4 * 2**-n <= 2**-j, and the stage fires.  lag_two_sup therefore polls
+    O(log n) stages at fuel n and gives the full prefix scan's verdict in a
+    single run; repeated runs stay sound and monotone, but may read a memo
+    that a finer run in between refined.
     """
     q = Fraction(q)
+    n, d = q.numerator, q.denominator
 
     def stage(k):
-        d = dyadic(k)
-        if x.approximate(d) < q - 2 * d:
+        if (x.scaled(k) + 2) * d < n << k:
             return TOP
         return never()
 
@@ -262,22 +264,22 @@ def lt_rat_semidecide(x, q):
 def _apart(x):
     """Semi-decide that x is apart from zero; the value is the witness.
 
-    Stage k accepts when |x(2**-k)| > 2 * 2**-k, which certifies
-    2**-k <= |x| and the approximant's sign, and answers that certificate.
-    A zero real passes no stage; a real apart from zero passes every stage
-    fine enough to dominate the approximation error.
+    Stage k reads x's integer answer m = x.scaled(k) and accepts when
+    |m| > 2: as |x - m * 2**-k| < 2**-k, that certifies |x| > 2 * 2**-k, so
+    the gap 2**-k <= |x|, with the sign of m, and the stage answers that
+    certificate.  A zero real passes no stage; a real apart from zero passes
+    every stage fine enough to dominate the approximation error.
 
-    Lag-two lemma: if stage m passes, then |x| > 2**-m, so every stage
-    n >= m + 2 passes with the same sign whatever approximant within 2**-n
-    it reads, because |x| - 2**-n > 3 * 2**-n.  lag_two_sup therefore
+    Lag-two lemma: if stage j passes, then |x| > 2 * 2**-j, so at every stage
+    n >= j + 2 the answer has |m| > 7 with the sign of x, because
+    |x| - 2**-n > 7 * 2**-n, and the stage passes.  lag_two_sup therefore
     answers the least passing stage, whose gap is the widest, in O(log n)
     polls at fuel n.
     """
     def stage(k):
-        d = dyadic(k)
-        a = x.approximate(d)
-        if abs(a) > 2 * d:
-            return now(ApartnessWitness(a > 0, d))
+        m = x.scaled(k)
+        if m > 2 or m < -2:
+            return now(ApartnessWitness(m > 0, dyadic(k)))
         return never()
 
     return lag_two_sup(stage)

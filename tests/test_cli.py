@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import subprocess
@@ -250,6 +251,21 @@ def test_repeated_subexpression_is_searched_and_divided_once(monkeypatch):
     answer = dict(line.split("=", 1) for line in out.splitlines())
     lo = _exact(answer["lo"])
     assert lo <= eval_exact(parse(text)) <= lo + 2 * dyadic(16000)
+
+
+_GOLDEN = Path(__file__).with_name("golden_divisions_and_verdicts.json")
+
+
+def test_division_and_verdict_bytes_match_the_golden_file():
+    # each record is an argv with the exit code, stdout and stderr that main
+    # gave for it: eval of three divisions by values near zero at --prec 0,
+    # 64 and 1000, and sign and compare of them and of their denominators at
+    # fuel 0, 40, 41, 42 and 256.  A coarser or finer least witness stage
+    # changes the gap, and with it recip_witnessed's offsets; this catches
+    # such a change once it reaches the printed bytes
+    for call in json.loads(_GOLDEN.read_text()):
+        expected = (call["code"], call["stdout"], call["stderr"])
+        assert run_main(call["argv"]) == expected, call["argv"]
 
 
 _ONES = "1" * 5000

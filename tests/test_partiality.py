@@ -225,6 +225,20 @@ def test_lag_two_sup_answers_the_least_firing_stage():
                 assert s.run(n + 1) == (Done(least) if n + 1 >= least else PENDING)
 
 
+def test_lag_two_sup_polls_each_stage_at_most_once_per_run():
+    # including a pending stage least + 1 between two firing ones, and a
+    # second run at higher fuel after a pending first one
+    for least in range(70):
+        for next_fires in (False, True):
+            for n in range(81):
+                polls = []
+                s = lag_two_sup(_lag_two_stages(least, next_fires, polls))
+                for fuel in (n, n + 1):
+                    polls.clear()
+                    assert s.run(fuel) == (Done(least) if fuel >= least else PENDING)
+                    assert len(polls) == len(set(polls))
+
+
 def test_lag_two_sup_keeps_its_outcome():
     polls = []
     s = lag_two_sup(_lag_two_stages(37, False, polls))

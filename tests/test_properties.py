@@ -10,10 +10,10 @@ from io import StringIO
 
 from hypothesis import example, given, settings, strategies as st
 
-from cauchyreal import (PENDING, Done, build_real, dyadic, evaluate_enclosure,
-                        find_apart_witness, format_expr, format_rat, from_rat,
-                        interleave, is_positive, lt_rat_semidecide, neg, parse,
-                        sub)
+from cauchyreal import (PENDING, CompletionPoint, Done, build_real, dyadic,
+                        evaluate_enclosure, find_apart_witness, fires,
+                        format_expr, format_rat, from_rat, interleave,
+                        is_positive, lt_rat_semidecide, neg, parse, sub)
 from cauchyreal.cli import cmd_eval, decimal_digits, format_decimal
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
                                     Neg, RatLit, Sub)
@@ -118,6 +118,25 @@ def test_witness_scan_agrees_with_the_linear_scan(node, offset, fuel):
     assert witness.gap <= abs(offset)
     assert reference.gap / 4 <= witness.gap <= 4 * reference.gap
     assert is_positive(fresh()).run(fuel) == Done(witness.positive)
+
+
+def _opaque(x):
+    """x behind an opaque procedure, whose integer answers round its
+    approximant at 2**-(k+1)."""
+    return CompletionPoint(lambda eps: x.approximate(eps))
+
+
+@PROPERTY_SETTINGS
+@given(expressions(4), _NEAR, st.integers(min_value=0, max_value=96))
+def test_verdicts_on_opaque_points_are_sound(node, offset, fuel):
+    value = eval_exact(node)
+    q = value + offset
+    if fires(lt_rat_semidecide(_opaque(build_real(node)), q), fuel):
+        assert value < q
+    witness = find_apart_witness(_opaque(sub(build_real(node), from_rat(q))), fuel)
+    if witness is not None:
+        assert witness.positive == (offset < 0)
+        assert witness.gap <= abs(offset)
 
 
 @st.composite

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from cauchyreal import (ONE, PENDING, STAR, ZERO, ApartnessWitness,
+from cauchyreal import (ONE, PENDING, STAR, TOP, ZERO, ApartnessWitness,
                         CompletionPoint, Done, absolute, add, bound,
-                        build_real, clamp, compare_partial, dyadic, eta,
-                        find_apart_witness, fires, from_below, from_rat,
-                        is_positive, join, join_sier, limit,
-                        lt_rat_semidecide, meet, mul, neg, parse,
+                        build_real, clamp, compare_partial, countable_sup,
+                        dyadic, eta, find_apart_witness, fires, from_below,
+                        from_rat, is_positive, join, join_sier, limit,
+                        lt_rat_semidecide, meet, mul, neg, never, parse,
                         recip_witnessed, scale, sub)
 
 from oracles import first_k_with_margin, full_scan_lt, linear_witness
@@ -236,25 +236,30 @@ def test_lt_rat_complete_within_stage_bound():
 
 def test_lt_rat_verdict_at_fixed_fuel_reads_the_memo():
     # run() is sound and monotone in fuel, not pure: the same fuel confirms
-    # x < 0 once a finer approximant of x sits in its memo
+    # x < 0 once a finer approximant of x sits in its memo.  Its own answer
+    # at stage 10 is -2, which does not fire; the memo at k = 60 rounds to -3
     def fresh():
-        return neg(below(Fraction(21, 10240)))
+        return neg(below(Fraction(13, 5120)))
 
+    assert fresh().scaled(10) == -2
     assert lt_rat_semidecide(fresh(), 0).run(10) is PENDING
     x = fresh()
     x.approximate(dyadic(60))
+    assert x.scaled(10) == -3
     s = lt_rat_semidecide(x, 0)
     assert s.run(10) == Done(STAR)
     assert s.run(11) == Done(STAR)
 
 
 def _recording_below_zero(polls):
-    # below(0)'s rule, 0 - eps/2, recording the precision of each request
-    def approx(eps):
-        polls.append(eps)
-        return -eps / 2
+    # from_below(0)'s rules, recording the stage index k of each integer
+    # request; a point with both procedures does not memoise its integer
+    # answers, so every poll of a stage is recorded
+    def scaled(k):
+        polls.append(k)
+        return 0
 
-    return CompletionPoint(approx)
+    return CompletionPoint(lambda eps: -eps / 2, scaled=scaled)
 
 
 def test_lt_rat_polls_logarithmically_many_stages():
@@ -263,12 +268,12 @@ def test_lt_rat_polls_logarithmically_many_stages():
     s = lt_rat_semidecide(_recording_below_zero(polls), 0)
     assert s.run(256) is PENDING
     assert len(polls) <= 2 * 8 + 2
-    assert polls[-2:] == [dyadic(255), dyadic(256)]
-    # stage 11 is the first to fire on x < 2**-10; no stage past 2*11 + 4
+    assert polls[-2:] == [255, 256]
+    # stage 12 is the first to fire on x < 2**-10; no stage past 2*11 + 4
     polls = []
     s = lt_rat_semidecide(_recording_below_zero(polls), dyadic(10))
     assert s.run(256) == Done(STAR)
-    assert min(polls) >= dyadic(2 * 11 + 4)
+    assert max(polls) <= 2 * 11 + 4
 
 
 def test_lt_rat_growing_fuel_polls_each_stage_once():
@@ -276,27 +281,35 @@ def test_lt_rat_growing_fuel_polls_each_stage_once():
     s = lt_rat_semidecide(_recording_below_zero(polls), 0)
     for n in range(65):
         assert s.run(n) is PENDING
-    assert polls == [dyadic(k) for k in range(65)]
+    assert polls == list(range(65))
     assert s.run(40) is PENDING
     assert len(polls) == 65
 
 
 def test_lt_rat_polls_the_stage_before_the_last():
-    # approximants off by 9/10 of their allowance, below x at even stages and
-    # above it at odd ones: stage 10 fires on x < q and stage 11 does not,
-    # so a run at fuel 11 must poll stage 10
-    def wobbling():
-        def approx(eps):
-            k = eps.denominator.bit_length() - 1
-            return (Fraction(9, 10) if k % 2 else Fraction(-9, 10)) * eps
+    # integer answers for x = 2**-12 at the far edges of their allowance, 0
+    # (below x) at even stages and 1 (above x) at odd ones: stage 10 is the
+    # least to fire on x < q, which a run at fuel 11 must poll, and every
+    # run gives the verdict of the full prefix scan of the same integer rule
+    q = Fraction(5, 2) * dyadic(10)
 
-        return CompletionPoint(approx)
+    def wobbling(polls):
+        def scaled(k):
+            polls.append(k)
+            return 1 << (k - 12) if k >= 12 else k % 2
 
-    q = Fraction(5, 4) * dyadic(10)
-    assert [full_scan_lt(wobbling(), q).run(n) for n in (10, 11)] == [Done(STAR)] * 2
-    assert full_scan_lt(wobbling(), q).run(9) is PENDING
+        return CompletionPoint(lambda eps: dyadic(12), scaled=scaled)
+
+    def full_scan(x):
+        return countable_sup(lambda k: TOP if (x.scaled(k) + 2) * dyadic(k) < q
+                             else never())
+
+    assert [full_scan(wobbling([])).run(n) for n in (9, 10)] == [PENDING, Done(STAR)]
+    polls = []
+    assert lt_rat_semidecide(wobbling(polls), q).run(11) == Done(STAR)
+    assert polls == [0, 1, 2, 4, 8, 10, 9]
     for n in range(41):
-        assert lt_rat_semidecide(wobbling(), q).run(n) == full_scan_lt(wobbling(), q).run(n)
+        assert lt_rat_semidecide(wobbling([]), q).run(n) == full_scan(wobbling([])).run(n)
 
 
 def test_is_positive_resolves_signs():
