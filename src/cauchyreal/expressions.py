@@ -1,5 +1,11 @@
-"""Expression front end: AST, tokenizer, recursive-descent parser, printer,
-and evaluation of an expression into a real.
+"""Expression front end: AST, tokenizer, parser, printer, and evaluation of
+an expression into a real.
+
+The parser reads the token list in one loop, with pending operators and open
+frames on an explicit stack (shunting-yard), and the printer and build_real
+walk the tree in post-order on an explicit stack.  So parsing, printing and
+building have no depth limit; approximating the built real still recurses
+once per level of nesting.
 
 Grammar, loosest binding first:
 
@@ -152,116 +158,117 @@ def tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+def _fail(tok):
+    kind, value, position = tok
+    if kind == "end":
+        raise ParseError("unexpected end of input", position)
+    shown = value if kind in ("name", "sym") else format_rat(value)
+    raise ParseError("unexpected token '%s'" % shown, position)
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _literal(tokens, i):
+    """The number at tokens[i] as a Fraction, and the index after it.
+    integer/integer folds into one rational, for nonzero denominators only:
+    p/0 stays a division and fails at evaluation."""
+    kind, value, _ = tokens[i]
+    if kind == "int":
+        if tokens[i + 1][1] == "/" and tokens[i + 2][0] == "int" and tokens[i + 2][1]:
+            return Fraction(value, tokens[i + 2][1]), i + 3
+        return Fraction(value), i + 1
+    if kind != "dec":
+        _fail(tokens[i])
+    return value, i + 1
 
-    def fail(self, tok):
-        kind, value, position = tok
-        if kind == "end":
-            raise ParseError("unexpected end of input", position)
-        shown = value if kind in ("name", "sym") else format_rat(value)
-        raise ParseError("unexpected token '%s'" % shown, position)
 
-    def expect(self, symbol):
-        tok = self.advance()
-        if tok[0] != "sym" or tok[1] != symbol:
-            self.fail(tok)
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] == "sym" and self.peek()[1] in "+-":
-            op = self.advance()[1]
-            right = self.term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[0] == "sym" and self.peek()[1] in "*/":
-            op = self.advance()[1]
-            right = self.factor()
-            node = Mul(node, right) if op == "*" else Div(node, right)
-        return node
-
-    def factor(self):
-        tok = self.peek()
-        if tok[0] == "sym" and tok[1] == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.atom()
-
-    def literal(self):
-        # A number, folding integer/integer into one rational (nonzero
-        # denominators only; p/0 stays a division and fails at evaluation).
-        tok = self.advance()
-        if tok[0] not in ("int", "dec"):
-            self.fail(tok)
-        if (tok[0] == "int"
-                and self.peek()[0] == "sym" and self.peek()[1] == "/"
-                and self.tokens[self.pos + 1][0] == "int"
-                and self.tokens[self.pos + 1][1] != 0):
-            self.advance()
-            den = self.advance()[1]
-            return RatLit(Fraction(tok[1], den))
-        return RatLit(Fraction(tok[1]))
-
-    def signed_literal(self):
-        if self.peek()[0] == "sym" and self.peek()[1] == "-":
-            self.advance()
-            return RatLit(-self.literal().value)
-        return self.literal()
-
-    def atom(self):
-        tok = self.peek()
-        if tok[0] in ("int", "dec"):
-            return self.literal()
-        if tok[0] == "name":
-            self.advance()
-            name = tok[1]
-            if name == "max" or name == "min":
-                self.expect("(")
-                left = self.expr()
-                self.expect(",")
-                right = self.expr()
-                self.expect(")")
-                return Max(left, right) if name == "max" else Min(left, right)
-            if name == "abs":
-                self.expect("(")
-                operand = self.expr()
-                self.expect(")")
-                return Abs(operand)
-            if name == "below":
-                self.expect("(")
-                lit = self.signed_literal()
-                self.expect(")")
-                return FromBelow(lit.value)
-            raise ParseError("unknown function '%s'" % name, tok[2])
-        if tok[0] == "sym" and tok[1] == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")")
-            return node
-        self.fail(tok)
+# Only 'sym' tokens carry a str of punctuation, so the parser tells symbols
+# apart by the token's value alone.  The pending stack holds Neg, pairs
+# (binding, node class) for binary operators, which associate left, and
+# triples (0, builder, closer) for open frames, whose binding 0 stops every
+# reduction.  max and min close their first argument with ',' and then
+# reopen as (0, Max, ')').
+_BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
+_GROUP = (0, None, ")")
+_FUNCTIONS = {"max": (0, Max, ","), "min": (0, Min, ","), "abs": (0, Abs, ")")}
 
 
 def parse(text):
-    """Parse an expression; raises ParseError with a position on bad input."""
-    parser = _Parser(tokenize(text))
-    node = parser.expr()
-    tail = parser.peek()
-    if tail[0] != "end":
-        parser.fail(tail)
-    return node
+    """Parse an expression; raises ParseError with a position on bad input.
+
+    The AST, and the failing token and message, are the grammar's recursive
+    descent's; the left operands wait on a second stack."""
+    tokens = tokenize(text)
+    operands = []
+    pending = []
+    i = 0
+    while True:
+        # Prefix minuses and frame openers, up to one operand.
+        tok = tokens[i]
+        kind, value, _ = tok
+        if kind == "sym":
+            i += 1
+            if value == "-":
+                pending.append(Neg)
+            elif value == "(":
+                pending.append(_GROUP)
+            else:
+                _fail(tok)
+            continue
+        if kind == "name":
+            frame = _FUNCTIONS.get(value)
+            if frame is None and value != "below":
+                raise ParseError("unknown function '%s'" % value, tok[2])
+            if tokens[i + 1][1] != "(":
+                _fail(tokens[i + 1])
+            i += 2
+            if frame is not None:
+                pending.append(frame)
+                continue
+            negative = tokens[i][1] == "-"
+            if negative:
+                i += 1
+            q, i = _literal(tokens, i)
+            if tokens[i][1] != ")":
+                _fail(tokens[i])
+            i += 1
+            node = FromBelow(-q if negative else q)
+        else:
+            q, i = _literal(tokens, i)
+            node = RatLit(q)
+        # node is an operand: apply its prefix minuses, then reduce what the
+        # next token closes, until that token needs another operand.  Once
+        # the minuses are applied no Neg is on top, and none ever lies right
+        # under an operator, so pending[-1][0] reads only tuples.
+        while True:
+            while pending and pending[-1] is Neg:
+                pending.pop()
+                node = Neg(node)
+            tok = tokens[i]
+            i += 1
+            binary = _BINARY.get(tok[1]) if tok[0] == "sym" else None
+            if binary is not None:
+                binding = binary[0]
+                while pending and pending[-1][0] >= binding:
+                    node = pending.pop()[1](operands.pop(), node)
+                operands.append(node)
+                pending.append(binary)
+                break
+            while pending and pending[-1][0]:
+                node = pending.pop()[1](operands.pop(), node)
+            if not pending:
+                if tok[0] != "end":
+                    _fail(tok)
+                return node
+            _, builder, closer = pending.pop()
+            if tok[1] != closer:
+                _fail(tok)
+            if closer == ",":
+                operands.append(node)
+                pending.append((0, builder, ")"))
+                break
+            if builder is Abs:
+                node = Abs(node)
+            elif builder is not None:
+                node = builder(operands.pop(), node)
 
 
 def _divide(numer, denom, witness_fuel):
@@ -290,11 +297,10 @@ _NODES = {
 }
 
 
-def _row(node):
-    try:
-        return _NODES[type(node)]
-    except KeyError:
-        raise TypeError("not an expression node: %r" % (node,)) from None
+# Markers of the post-order walks: the node under a marker has the results
+# of its two (one) operands on top of the result stack.
+_TWO_DONE = object()
+_ONE_DONE = object()
 
 
 def format_expr(node):
@@ -304,12 +310,26 @@ def format_expr(node):
     literals only inside below(...); elsewhere a negative RatLit prints as
     -p/q, which parses as Neg of the positive literal, the same value.
     """
-    template = _row(node)[0]
-    if isinstance(node, _Binary):
-        return template % (format_expr(node.left), format_expr(node.right))
-    if isinstance(node, _Unary):
-        return template % format_expr(node.operand)
-    return template % format_rat(node.value)
+    texts = []
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if node is _TWO_DONE:
+            node = todo.pop()
+            right = texts.pop()
+            texts[-1] = _NODES[type(node)][0] % (texts[-1], right)
+        elif node is _ONE_DONE:
+            node = todo.pop()
+            texts[-1] = _NODES[type(node)][0] % texts[-1]
+        elif type(node) not in _NODES:
+            raise TypeError("not an expression node: %r" % (node,))
+        elif isinstance(node, _Binary):
+            todo += (node, _TWO_DONE, node.right, node.left)
+        elif isinstance(node, _Unary):
+            todo += (node, _ONE_DONE, node.operand)
+        else:
+            texts.append(_NODES[type(node)][0] % format_rat(node.value))
+    return texts[0]
 
 
 def build_real(node, witness_fuel=64):
@@ -325,30 +345,41 @@ def build_real(node, witness_fuel=64):
     of its operands' reals) to the real built for it; it holds every real
     whose id it uses, so no id is reused while it lives.  A key costs O(1)
     per node, where hashing the AST would cost its size.
+
+    Left operands, and so their witness searches, are built first.
     """
-    return _build(node, witness_fuel, {})
-
-
-def _build(node, witness_fuel, shared):
-    # a module-level function, not a closure over shared: a recursive
-    # closure is a reference cycle, which would keep every point in shared
-    # alive until the cycle collector runs
-    operation = _row(node)[1]
-    if isinstance(node, _Binary):
-        operands = (_build(node.left, witness_fuel, shared),
-                    _build(node.right, witness_fuel, shared))
-        key = (type(node), id(operands[0]), id(operands[1]))
-    elif isinstance(node, _Unary):
-        operands = (_build(node.operand, witness_fuel, shared),)
-        key = (type(node), id(operands[0]))
-    else:
-        operands = (node.value,)
-        key = (type(node), node.value.numerator, node.value.denominator)
-    real = shared.get(key)
-    if real is None:
-        if operation is _divide:
-            real = _divide(*operands, witness_fuel)
+    shared = {}
+    reals = []
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if node is _TWO_DONE:
+            node = todo.pop()
+            right = reals.pop()
+            operands = (reals.pop(), right)
+            key = (type(node), id(operands[0]), id(right))
+        elif node is _ONE_DONE:
+            node = todo.pop()
+            operands = (reals.pop(),)
+            key = (type(node), id(operands[0]))
+        elif type(node) not in _NODES:
+            raise TypeError("not an expression node: %r" % (node,))
+        elif isinstance(node, _Binary):
+            todo += (node, _TWO_DONE, node.right, node.left)
+            continue
+        elif isinstance(node, _Unary):
+            todo += (node, _ONE_DONE, node.operand)
+            continue
         else:
-            real = operation(*operands)
-        shared[key] = real
-    return real
+            operands = (node.value,)
+            key = (type(node), node.value.numerator, node.value.denominator)
+        real = shared.get(key)
+        if real is None:
+            operation = _NODES[type(node)][1]
+            if operation is _divide:
+                real = _divide(*operands, witness_fuel)
+            else:
+                real = operation(*operands)
+            shared[key] = real
+        reals.append(real)
+    return reals[0]

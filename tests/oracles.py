@@ -12,9 +12,9 @@ import math
 from fractions import Fraction
 
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
-                                    Neg, RatLit, Sub)
+                                    Neg, ParseError, RatLit, Sub, tokenize)
 from cauchyreal.partiality import TOP, countable_sup, never
-from cauchyreal.rational import dyadic
+from cauchyreal.rational import dyadic, format_rat
 from cauchyreal.reals import ApartnessWitness
 
 
@@ -126,3 +126,118 @@ def linear_witness(x, fuel):
         if abs(a) > 2 * d:
             return ApartnessWitness(a > 0, d)
     return None
+
+
+# A recursive-descent parser of the same grammar, one method per rule: the
+# reference the stack parser in expressions.parse is checked against.  It
+# recurses four Python frames per level of nesting.
+class _Parser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, tok):
+        kind, value, position = tok
+        if kind == "end":
+            raise ParseError("unexpected end of input", position)
+        shown = value if kind in ("name", "sym") else format_rat(value)
+        raise ParseError("unexpected token '%s'" % shown, position)
+
+    def expect(self, symbol):
+        tok = self.advance()
+        if tok[0] != "sym" or tok[1] != symbol:
+            self.fail(tok)
+
+    def expr(self):
+        node = self.term()
+        while self.peek()[0] == "sym" and self.peek()[1] in "+-":
+            op = self.advance()[1]
+            right = self.term()
+            node = Add(node, right) if op == "+" else Sub(node, right)
+        return node
+
+    def term(self):
+        node = self.factor()
+        while self.peek()[0] == "sym" and self.peek()[1] in "*/":
+            op = self.advance()[1]
+            right = self.factor()
+            node = Mul(node, right) if op == "*" else Div(node, right)
+        return node
+
+    def factor(self):
+        tok = self.peek()
+        if tok[0] == "sym" and tok[1] == "-":
+            self.advance()
+            return Neg(self.factor())
+        return self.atom()
+
+    def literal(self):
+        # A number, folding integer/integer into one rational (nonzero
+        # denominators only; p/0 stays a division and fails at evaluation).
+        tok = self.advance()
+        if tok[0] not in ("int", "dec"):
+            self.fail(tok)
+        if (tok[0] == "int"
+                and self.peek()[0] == "sym" and self.peek()[1] == "/"
+                and self.tokens[self.pos + 1][0] == "int"
+                and self.tokens[self.pos + 1][1] != 0):
+            self.advance()
+            den = self.advance()[1]
+            return RatLit(Fraction(tok[1], den))
+        return RatLit(Fraction(tok[1]))
+
+    def signed_literal(self):
+        if self.peek()[0] == "sym" and self.peek()[1] == "-":
+            self.advance()
+            return RatLit(-self.literal().value)
+        return self.literal()
+
+    def atom(self):
+        tok = self.peek()
+        if tok[0] in ("int", "dec"):
+            return self.literal()
+        if tok[0] == "name":
+            self.advance()
+            name = tok[1]
+            if name == "max" or name == "min":
+                self.expect("(")
+                left = self.expr()
+                self.expect(",")
+                right = self.expr()
+                self.expect(")")
+                return Max(left, right) if name == "max" else Min(left, right)
+            if name == "abs":
+                self.expect("(")
+                operand = self.expr()
+                self.expect(")")
+                return Abs(operand)
+            if name == "below":
+                self.expect("(")
+                lit = self.signed_literal()
+                self.expect(")")
+                return FromBelow(lit.value)
+            raise ParseError("unknown function '%s'" % name, tok[2])
+        if tok[0] == "sym" and tok[1] == "(":
+            self.advance()
+            node = self.expr()
+            self.expect(")")
+            return node
+        self.fail(tok)
+
+
+def parse(text):
+    """Parse an expression; raises ParseError with a position on bad input."""
+    parser = _Parser(tokenize(text))
+    node = parser.expr()
+    tail = parser.peek()
+    if tail[0] != "end":
+        parser.fail(tail)
+    return node

@@ -284,6 +284,18 @@ def test_eval_reads_literals_past_the_int_to_str_limit(text, value):
     assert lo <= value <= hi
 
 
+@pytest.mark.parametrize("text, value", [
+    (" + ".join(["1"] * 10000), Fraction(10000)),
+    ("(" * 10000 + "1/3" + ")" * 10000, Fraction(1, 3))], ids=["sum", "parentheses"])
+def test_eval_of_input_nested_past_the_recursion_limit(text, value):
+    # an exact value needs no approximation, which still recurses
+    assert sys.getrecursionlimit() < 10000
+    code, out, err = run_main(["eval", text, "--prec", "64", "--format", "rational"])
+    eps = dyadic(64)
+    assert (code, err) == (0, "")
+    assert out == "eps=%s\nlo=%s\nhi=%s\n" % (eps, value - eps, value + eps)
+
+
 def test_main_from_threads_prints_what_sequential_calls_print():
     # the parser is shared once built; four threads race to build it, then
     # run every command kind and both kinds of error side by side

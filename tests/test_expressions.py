@@ -1,3 +1,5 @@
+import sys
+
 from fractions import Fraction
 
 import pytest
@@ -155,3 +157,35 @@ def test_equal_subtrees_build_one_point(monkeypatch):
     # one below(1), one sum and the product
     assert sorted(built) == ["Add", "FromBelow", "Mul"]
     assert abs(point.approximate(dyadic(20)) - 4) <= dyadic(20)
+
+
+DEEP = 10000
+
+
+@pytest.mark.parametrize("text, printed, value", [
+    ("(" * DEEP + "1/3" + ")" * DEEP, "1/3", Fraction(1, 3)),
+    (" + ".join(["1"] * DEEP), "(" * (DEEP - 1) + "1" + " + 1)" * (DEEP - 1), DEEP),
+    ("-" * DEEP + "1", "-" * DEEP + "1", 1),
+    ("max(" * (DEEP // 2) + "1" + ", 2)" * (DEEP // 2),
+     "max(" * (DEEP // 2) + "1" + ", 2)" * (DEEP // 2), 2),
+    ("-" * DEEP + "below(1)", "-" * DEEP + "below(1)", None),
+], ids=["parentheses", "sum", "negations", "max", "negated_below"])
+def test_parse_build_and_print_have_no_depth_limit(text, printed, value):
+    # each nests deeper than the recursion limit; deep ASTs are compared as
+    # text, since dataclass equality recurses
+    assert sys.getrecursionlimit() < DEEP // 2
+    node = parse(text)
+    assert format_expr(node) == printed
+    assert build_real(node).exact == value
+
+
+def test_long_sum_round_trips_through_the_printer():
+    printed = format_expr(parse(" + ".join(["below(1/3)", "2.5", "-1", "3"] * (DEEP // 4))))
+    assert format_expr(parse(printed)) == printed
+
+
+def test_walks_reject_what_is_not_a_node():
+    node = Add(RatLit(Fraction(1)), Neg(Fraction(2)))
+    for walk in (format_expr, build_real):
+        with pytest.raises(TypeError, match="not an expression node: Fraction"):
+            walk(node)

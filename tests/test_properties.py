@@ -2,8 +2,12 @@
 
 Expressions have depth at most 5 and use + - * max min abs below, and
 division by literals >= 1, so every division finds its witness.  Literals are
-non-negative except inside below(...), as the parser makes them.
+non-negative except inside below(...), as the parser makes them.  Garbled
+text, for the parser's error paths, is printed expressions with runs of
+tokens replaced, or the grammar's tokens in any order.
 """
+
+import re
 
 from fractions import Fraction
 from io import StringIO
@@ -16,9 +20,9 @@ from cauchyreal import (PENDING, CompletionPoint, Done, build_real, dyadic,
                         is_positive, lt_rat_semidecide, neg, parse, sub)
 from cauchyreal.cli import cmd_eval, decimal_digits, format_decimal
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
-                                    Neg, RatLit, Sub)
+                                    Neg, ParseError, RatLit, Sub)
 
-from oracles import eval_exact, full_scan_lt, linear_witness
+from oracles import eval_exact, full_scan_lt, linear_witness, parse as recursive_parse
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None,
                              max_examples=100)
@@ -68,6 +72,47 @@ def test_enclosures_are_exact_width_and_contain_the_value(node):
 @given(expressions(5, divisors=_NATURALS))
 def test_printing_round_trips_parser_made_asts(node):
     assert parse(format_expr(node)) == node
+
+
+def _parsed(parse_text, text):
+    """The AST, or the ParseError's message and position."""
+    try:
+        return parse_text(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+@PROPERTY_SETTINGS
+@given(expressions(5, divisors=_NATURALS))
+def test_stack_parser_reads_printed_asts_as_the_recursive_parser_does(node):
+    text = format_expr(node)
+    assert _parsed(parse, text) == _parsed(recursive_parse, text)
+
+
+_TOKENS = ("1", "0", "7", "1/0", "3/4", "2.5", "-", "+", "*", "/", ",", "(", ")",
+           "max", "min", "abs", "below", "spam")
+_WORDS = st.one_of(
+    expressions(2).map(lambda node: re.findall(r"[\d.]+|[a-z]+|\S", format_expr(node))),
+    st.lists(st.sampled_from(_TOKENS), max_size=16))
+
+
+@st.composite
+def garbled_text(draw):
+    """Printed expressions with a few runs of tokens replaced by others, and
+    strings of the grammar's tokens in any order, joined with or without
+    spaces."""
+    words = draw(_WORDS)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        start = draw(st.integers(min_value=0, max_value=len(words)))
+        end = start + draw(st.integers(min_value=0, max_value=2))
+        words[start:end] = draw(st.lists(st.sampled_from(_TOKENS), max_size=2))
+    return draw(st.sampled_from((" ", ""))).join(words)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(garbled_text())
+def test_stack_parser_fails_where_the_recursive_parser_does(text):
+    assert _parsed(parse, text) == _parsed(recursive_parse, text)
 
 
 def test_negative_literal_prints_as_a_negation():
