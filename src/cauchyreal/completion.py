@@ -179,7 +179,7 @@ def eta(value):
     raises TypeError.
     """
     carrier(value)
-    return CompletionPoint(lambda eps: value, exact=value)
+    return CompletionPoint(exact=value)
 
 
 def limit(x):

@@ -27,6 +27,8 @@ denominator apart from zero when evaluated.  A literal with denominator 0
 falls back to division, so 1/0 fails at evaluation, not at parse time.
 """
 
+import re
+
 from dataclasses import dataclass
 from fractions import Fraction
 from string import ascii_letters, digits
@@ -111,6 +113,7 @@ class WitnessSearchError(ArithmeticError):
 
 
 _SYMBOLS = "+-*/(),"
+_NUMBER = re.compile("[0-9]+(?:[.][0-9]+)?")   # a number token as typed
 
 
 def tokenize(text):
@@ -158,15 +161,16 @@ def tokenize(text):
     return tokens
 
 
-def _fail(tok):
+def _fail(text, tok):
+    """Raise the ParseError for tok, showing a number as it was typed."""
     kind, value, position = tok
     if kind == "end":
         raise ParseError("unexpected end of input", position)
-    shown = value if kind in ("name", "sym") else format_rat(value)
+    shown = value if kind in ("name", "sym") else _NUMBER.match(text, position).group()
     raise ParseError("unexpected token '%s'" % shown, position)
 
 
-def _literal(tokens, i):
+def _literal(text, tokens, i):
     """The number at tokens[i] as a Fraction, and the index after it.
     integer/integer folds into one rational, for nonzero denominators only:
     p/0 stays a division and fails at evaluation."""
@@ -176,7 +180,7 @@ def _literal(tokens, i):
             return Fraction(value, tokens[i + 2][1]), i + 3
         return Fraction(value), i + 1
     if kind != "dec":
-        _fail(tokens[i])
+        _fail(text, tokens[i])
     return value, i + 1
 
 
@@ -211,14 +215,14 @@ def parse(text):
             elif value == "(":
                 pending.append(_GROUP)
             else:
-                _fail(tok)
+                _fail(text, tok)
             continue
         if kind == "name":
             frame = _FUNCTIONS.get(value)
             if frame is None and value != "below":
                 raise ParseError("unknown function '%s'" % value, tok[2])
             if tokens[i + 1][1] != "(":
-                _fail(tokens[i + 1])
+                _fail(text, tokens[i + 1])
             i += 2
             if frame is not None:
                 pending.append(frame)
@@ -226,13 +230,13 @@ def parse(text):
             negative = tokens[i][1] == "-"
             if negative:
                 i += 1
-            q, i = _literal(tokens, i)
+            q, i = _literal(text, tokens, i)
             if tokens[i][1] != ")":
-                _fail(tokens[i])
+                _fail(text, tokens[i])
             i += 1
             node = FromBelow(-q if negative else q)
         else:
-            q, i = _literal(tokens, i)
+            q, i = _literal(text, tokens, i)
             node = RatLit(q)
         # node is an operand: apply its prefix minuses, then reduce what the
         # next token closes, until that token needs another operand.  Once
@@ -256,11 +260,11 @@ def parse(text):
                 node = pending.pop()[1](operands.pop(), node)
             if not pending:
                 if tok[0] != "end":
-                    _fail(tok)
+                    _fail(text, tok)
                 return node
             _, builder, closer = pending.pop()
             if tok[1] != closer:
-                _fail(tok)
+                _fail(text, tok)
             if closer == ",":
                 operands.append(node)
                 pending.append((0, builder, ")"))

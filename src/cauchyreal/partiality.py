@@ -143,11 +143,11 @@ def join_sier(a, b):
 class _CountableSup(Partial):
     """Fires at fuel n iff some stage f(m) with m <= n is Done at fuel n.
 
-    This is the general scan: the stages are arbitrary semi-decisions, with
-    no lag between them, so every stage up to n is polled.
-    close_semidecide runs on it because no lag holds there: its threshold
-    has no margin, so a firing stage does not make the finer ones fire, and
-    closeness on nested carriers is a one-sided, fuel-bounded test.
+    This is the general scan: the stages are arbitrary semi-decisions, not
+    monotone, so every stage up to n is polled.
+    close_semidecide runs on it because its stages are not monotone: its
+    threshold has no margin, so a firing stage does not make the finer ones
+    fire, and closeness on nested carriers is a one-sided, fuel-bounded test.
     Joining the prefix of stages restores monotonicity, so f need not be
     increasing.  Stages are instantiated lazily and classified once:
     constant stages (now / never) are never re-polled, the scan stops at the
@@ -196,20 +196,19 @@ def countable_sup(f):
     return _CountableSup(f)
 
 
-class _LagTwoSup(Partial):
-    """The least firing stage of stages that are now(value) or never() and
-    fire with a lag of two: if stage m fires, so does every stage n >= m + 2.
+class _MonotoneSup(Partial):
+    """The least firing stage of monotone stages: each stage is now(value)
+    or never(), and if stage m fires, so does stage m + 1.
 
-    A firing stage m <= n - 2 then makes stage n fire, so the prefix scan of
-    stages 0..n fires iff stage n - 1 or n does, and a run at fuel n polls
-    just those, after the coarse stages 0, 1, 2, 4, 8, ... below n - 1 that
-    let an easy verdict stop at low precision.  Once a stage fires, a
-    pending stage t rules out every stage up to t - 2, so bisection from the
-    last pending stage to the firing one ends at a firing stage h whose
-    stage h - 1 is pending; the least firing stage is then h, or h - 2 when
-    that fires, which is polled unless the run already found it pending.  A
-    single run thus answers the full prefix scan's outcome, the value of its
-    least firing stage, in O(log n) polls, none of them twice.
+    Stage n then fires iff some stage m <= n does, so the prefix scan of
+    stages 0..n is answered by stage n alone.  A run at fuel n polls the
+    coarse stages 0, 1, 2, 4, 8, ... below n, which let an easy verdict stop
+    at low precision, and then n.  A pending stage rules out every stage
+    below it and a firing one every stage above it, so once a stage fires,
+    bisection between the last pending stage and the first firing one ends
+    at the least firing stage.  A single run thus answers the full prefix
+    scan's outcome, the value of its least firing stage, in O(log n) polls,
+    none of them twice.
 
     _fired_at is that stage, and a run at lower fuel stays pending, as the
     run that fired found; _pending is the greatest stage up to which all are
@@ -232,8 +231,7 @@ class _LagTwoSup(Partial):
         with self._lock:
             if self._fired_at is not None:
                 return self._outcome if fuel >= self._fired_at else PENDING
-            lo, hi = self._pending + 1, None   # no stage below lo but lo - 2 fires
-            polled = set()                      # the stages this run found pending
+            lo, hi = self._pending + 1, None   # no stage below lo fires
             t = 0
             while t <= fuel and (hi is None or lo < hi):
                 if t >= lo:
@@ -242,26 +240,21 @@ class _LagTwoSup(Partial):
                         hi, fired = t, stage
                     else:
                         lo = t + 1
-                        polled.add(t)
-                # double through the coarse stages, then the last two; once
-                # a stage fires, bisect
-                t = max(t + 1, min(2 * t, fuel - 1)) if hi is None else (lo + hi) // 2
+                # double through the coarse stages, then the last; once a
+                # stage fires, bisect
+                t = max(t + 1, min(2 * t, fuel)) if hi is None else (lo + hi) // 2
             if hi is None:
                 self._pending = max(self._pending, fuel)
                 return PENDING
-            if hi - 2 > self._pending and hi - 2 not in polled:
-                stage = self._f(hi - 2)
-                if isinstance(stage, _Now):
-                    hi, fired = hi - 2, stage
             self._fired_at, self._outcome = hi, fired.run(0)
             return self._outcome
 
 
-def lag_two_sup(f):
-    """The least firing stage of f, for stages that are now(value) or
-    never() and fire with a lag of two (see _LagTwoSup): Done(value) of the
-    least stage m <= n that fires, polling O(log n) stages at fuel n."""
-    return _LagTwoSup(f)
+def monotone_sup(f):
+    """The least firing stage of f, for monotone stages that are now(value)
+    or never() (see _MonotoneSup): Done(value) of the least stage m <= n
+    that fires, polling O(log n) stages at fuel n."""
+    return _MonotoneSup(f)
 
 
 def interleave(a, b):

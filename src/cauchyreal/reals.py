@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .completion import CompletionPoint, eta
-from .partiality import PENDING, TOP, lag_two_sup, map_partial, never, now
+from .partiality import PENDING, TOP, map_partial, monotone_sup, never, now
 from .rational import QPos, ceil_log2, dyadic, round_div
 
 CReal = CompletionPoint
@@ -243,9 +243,8 @@ def lt_rat_semidecide(x, q):
     x < (m + 1) * 2**-k < q - 2**-k, and every true inequality has a stage
     fine enough to see its gap.  x at or above q never fires a stage.
 
-    Lag-two lemma: if stage j fires, then x < q - 2**-j, so at every stage
-    n >= j + 2 the answer has m * 2**-n < q - 3 * 2**-n, because
-    4 * 2**-n <= 2**-j, and the stage fires.  lag_two_sup therefore polls
+    The stages are monotone: stage k + 1's answer m' has m' < 2m + 3, so
+    when stage k fires, so does stage k + 1.  monotone_sup therefore polls
     O(log n) stages at fuel n and gives the full prefix scan's verdict in a
     single run; repeated runs stay sound and monotone, but may read a memo
     that a finer run in between refined.
@@ -258,7 +257,7 @@ def lt_rat_semidecide(x, q):
             return TOP
         return never()
 
-    return lag_two_sup(stage)
+    return monotone_sup(stage)
 
 
 def _apart(x):
@@ -270,11 +269,10 @@ def _apart(x):
     certificate.  A zero real passes no stage; a real apart from zero passes
     every stage fine enough to dominate the approximation error.
 
-    Lag-two lemma: if stage j passes, then |x| > 2 * 2**-j, so at every stage
-    n >= j + 2 the answer has |m| > 7 with the sign of x, because
-    |x| - 2**-n > 7 * 2**-n, and the stage passes.  lag_two_sup therefore
-    answers the least passing stage, whose gap is the widest, in O(log n)
-    polls at fuel n.
+    The stages are monotone: stage k + 1's answer m' has |m'| > 2|m| - 3,
+    with the same sign, so when stage k passes, so does stage k + 1, with
+    the same sign.  monotone_sup therefore answers the least passing stage,
+    whose gap is the widest, in O(log n) polls at fuel n.
     """
     def stage(k):
         m = x.scaled(k)
@@ -282,7 +280,7 @@ def _apart(x):
             return now(ApartnessWitness(m > 0, dyadic(k)))
         return never()
 
-    return lag_two_sup(stage)
+    return monotone_sup(stage)
 
 
 def is_positive(x):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
                                     Neg, ParseError, RatLit, Sub, tokenize)
 from cauchyreal.partiality import TOP, countable_sup, never
-from cauchyreal.rational import dyadic, format_rat
+from cauchyreal.rational import dyadic
 from cauchyreal.reals import ApartnessWitness
 
 
@@ -132,8 +132,9 @@ def linear_witness(x, fuel):
 # reference the stack parser in expressions.parse is checked against.  It
 # recurses four Python frames per level of nesting.
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, text):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
 
     def peek(self):
@@ -148,7 +149,12 @@ class _Parser:
         kind, value, position = tok
         if kind == "end":
             raise ParseError("unexpected end of input", position)
-        shown = value if kind in ("name", "sym") else format_rat(value)
+        if kind in ("name", "sym"):
+            shown = value
+        else:
+            # a number as typed: up to the next token, less the blanks between
+            end = next(t[2] for t in self.tokens if t[2] > position)
+            shown = self.text[position:end].rstrip()
         raise ParseError("unexpected token '%s'" % shown, position)
 
     def expect(self, symbol):
@@ -235,7 +241,7 @@ class _Parser:
 
 def parse(text):
     """Parse an expression; raises ParseError with a position on bad input."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     node = parser.expr()
     tail = parser.peek()
     if tail[0] != "end":

@@ -95,6 +95,16 @@ def test_syntax_error_exit_code_and_report():
         assert err.startswith("error=syntax\nposition=%d\n" % position)
 
 
+def test_syntax_error_shows_a_number_as_typed():
+    for text, position, token in (("1 2.5", 2, "2.5"), ("max(1 0.50)", 6, "0.50")):
+        code, out, err = run_main(["eval", text])
+        assert (code, out) == (1, "")
+        assert err == ("error=syntax\n"
+                       "position=%d\n"
+                       "message=unexpected token '%s' (at position %d)\n"
+                       % (position, token, position))
+
+
 def test_witness_error_exit_code_and_report():
     code, out, err = run_main(["eval", "1/(1-1)"])
     assert code == 2

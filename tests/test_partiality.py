@@ -3,7 +3,7 @@ import random
 from cauchyreal import (Done, PENDING, STAR, TOP, countable_sup, fires,
                         interleave, join_sier, map_partial, never, now,
                         sup_seq)
-from cauchyreal.partiality import lag_two_sup
+from cauchyreal.partiality import monotone_sup
 
 
 def delayed(k, value=STAR):
@@ -201,47 +201,42 @@ def test_interleave_truth_table_exhaustive():
                     assert p.run(n) is PENDING
 
 
-def _lag_two_stages(least, next_fires, polls):
-    # stage least fires, least + 1 as next_fires says, and every later one
+def _monotone_stages(least, polls):
+    # stage least fires, and every later one
     def stage(k):
         polls.append(k)
-        if k == least or k >= least + 2 or (next_fires and k == least + 1):
-            return now(k)
-        return never()
+        return now(k) if k >= least else never()
 
     return stage
 
 
-def test_lag_two_sup_answers_the_least_firing_stage():
+def test_monotone_sup_answers_the_least_firing_stage():
     # the full prefix scan's outcome at fuel n: the value of the least stage
     # m <= n that fires, found in O(log n) polls
     for least in range(70):
-        for next_fires in (False, True):
-            for n in range(81):
-                polls = []
-                s = lag_two_sup(_lag_two_stages(least, next_fires, polls))
-                assert s.run(n) == (Done(least) if n >= least else PENDING)
-                assert len(polls) <= 2 * n.bit_length() + 3
-                assert s.run(n + 1) == (Done(least) if n + 1 >= least else PENDING)
+        for n in range(81):
+            polls = []
+            s = monotone_sup(_monotone_stages(least, polls))
+            assert s.run(n) == (Done(least) if n >= least else PENDING)
+            assert len(polls) <= 2 * n.bit_length() + 1
+            assert s.run(n + 1) == (Done(least) if n + 1 >= least else PENDING)
 
 
-def test_lag_two_sup_polls_each_stage_at_most_once_per_run():
-    # including a pending stage least + 1 between two firing ones, and a
-    # second run at higher fuel after a pending first one
+def test_monotone_sup_polls_each_stage_at_most_once_per_run():
+    # including a second run at higher fuel after a pending first one
     for least in range(70):
-        for next_fires in (False, True):
-            for n in range(81):
-                polls = []
-                s = lag_two_sup(_lag_two_stages(least, next_fires, polls))
-                for fuel in (n, n + 1):
-                    polls.clear()
-                    assert s.run(fuel) == (Done(least) if fuel >= least else PENDING)
-                    assert len(polls) == len(set(polls))
+        for n in range(81):
+            polls = []
+            s = monotone_sup(_monotone_stages(least, polls))
+            for fuel in (n, n + 1):
+                polls.clear()
+                assert s.run(fuel) == (Done(least) if fuel >= least else PENDING)
+                assert len(polls) == len(set(polls))
 
 
-def test_lag_two_sup_keeps_its_outcome():
+def test_monotone_sup_keeps_its_outcome():
     polls = []
-    s = lag_two_sup(_lag_two_stages(37, False, polls))
+    s = monotone_sup(_monotone_stages(37, polls))
     assert s.run(200) == Done(37)
     assert s.run(36) is PENDING
     assert s.run(37) == Done(37)

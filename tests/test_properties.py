@@ -14,13 +14,14 @@ from io import StringIO
 
 from hypothesis import example, given, settings, strategies as st
 
-from cauchyreal import (PENDING, CompletionPoint, Done, build_real, dyadic,
+from cauchyreal import (PENDING, CompletionPoint, Done, add, build_real, dyadic,
                         evaluate_enclosure, find_apart_witness, fires,
                         format_expr, format_rat, from_rat, interleave,
-                        is_positive, lt_rat_semidecide, neg, parse, sub)
+                        is_positive, limit, lt_rat_semidecide, neg, parse, sub)
 from cauchyreal.cli import cmd_eval, decimal_digits, format_decimal
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
                                     Neg, ParseError, RatLit, Sub)
+from cauchyreal.reals import _apart
 
 from oracles import eval_exact, full_scan_lt, linear_witness, parse as recursive_parse
 
@@ -182,6 +183,51 @@ def test_verdicts_on_opaque_points_are_sound(node, offset, fuel):
     if witness is not None:
         assert witness.positive == (offset < 0)
         assert witness.gap <= abs(offset)
+
+
+def _as_limit(x):
+    """x as the limit of the points x + eps/2, an opaque point."""
+    return limit(lambda eps: add(x, from_rat(eps / 2)))
+
+
+def _edges(value, parity):
+    """value with integer answers at the edges of their allowance: the
+    ceiling of value * 2**k at the k of the given parity, else the floor."""
+    def scaled(k):
+        t = value * 2 ** k
+        return t.numerator // t.denominator + (t.denominator > 1 and k % 2 == parity)
+
+    return CompletionPoint(scaled=scaled)
+
+
+@PROPERTY_SETTINGS
+@given(expressions(4), _NEAR, st.sampled_from(("built", "limit", 0, 1)),
+       st.lists(st.integers(min_value=0, max_value=96), max_size=4))
+def test_verdict_stages_are_monotone(node, offset, kind, warm):
+    # the precondition of the least-stage scan: once stage k of x < q, or of
+    # x - q apart from zero, fires, stage k + 1 fires, with the same sign,
+    # whatever valid answers the points give: built reals and a limit with
+    # memos warmed at finer and coarser k, or answers at the allowance's
+    # edges, rounded up at the k of parity kind
+    value = eval_exact(node)
+    q = value + offset
+    if kind in (0, 1):
+        x, z = _edges(value, kind), _edges(-offset, kind)
+    else:
+        x = build_real(node) if kind == "built" else _as_limit(build_real(node))
+        z = sub(x, from_rat(q))
+    for k in warm:
+        x.scaled(k)
+        z.scaled(k)
+    below_q = lt_rat_semidecide(x, q)._f
+    apart = _apart(z)._f
+    for k in range(80):
+        if below_q(k).run(0) is not PENDING:
+            assert below_q(k + 1).run(0) is not PENDING
+        out = apart(k).run(0)
+        if out is not PENDING:
+            finer = apart(k + 1).run(0)
+            assert finer is not PENDING and finer.value.positive == out.value.positive
 
 
 @st.composite

@@ -267,8 +267,7 @@ def test_lt_rat_polls_logarithmically_many_stages():
     polls = []
     s = lt_rat_semidecide(_recording_below_zero(polls), 0)
     assert s.run(256) is PENDING
-    assert len(polls) <= 2 * 8 + 2
-    assert polls[-2:] == [255, 256]
+    assert polls == [0, 1, 2, 4, 8, 16, 32, 64, 128, 256]
     # stage 12 is the first to fire on x < 2**-10; no stage past 2*11 + 4
     polls = []
     s = lt_rat_semidecide(_recording_below_zero(polls), dyadic(10))
@@ -307,7 +306,7 @@ def test_lt_rat_polls_the_stage_before_the_last():
     assert [full_scan(wobbling([])).run(n) for n in (9, 10)] == [PENDING, Done(STAR)]
     polls = []
     assert lt_rat_semidecide(wobbling(polls), q).run(11) == Done(STAR)
-    assert polls == [0, 1, 2, 4, 8, 10, 9]
+    assert polls == [0, 1, 2, 4, 8, 11, 10, 9]
     for n in range(41):
         assert lt_rat_semidecide(wobbling([]), q).run(n) == full_scan(wobbling([])).run(n)
 
