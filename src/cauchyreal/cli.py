@@ -2,14 +2,16 @@
 
 Output is line-oriented key=value pairs on stdout; errors go to stderr in the
 same shape.  Exit codes: 0 for a computed verdict (including unknown), 1 for
-input that does not parse or a bad command line (such as a negative --prec,
---fuel or --witness-fuel), 2 for a division that cannot certify its
-denominator apart from zero.  A usage error caused by an expression with a
-leading minus, which argparse takes for a flag, ends with a hint= line.
+input that does not parse, a bad command line (such as a negative --prec,
+--fuel or --witness-fuel) or a stdout closed before the answer was written,
+2 for a division that cannot certify its denominator apart from zero.  A
+usage error caused by an expression with a leading minus, which argparse
+takes for a flag, ends with a hint= line.
 """
 
 import argparse
 import functools
+import os
 import re
 import sys
 
@@ -300,4 +302,13 @@ def main(argv=None, out=None, err=None):
 
 
 def console_main():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: exit 1 without a traceback.  Python's
+        # documented recipe points stdout at devnull, so that the
+        # interpreter's final flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_SYNTAX
+    sys.exit(code)

@@ -13,9 +13,12 @@ its budget so that each contribution to the final error stays strictly below
 its share; the comments on each rule say where the halves go.  Built-in reals
 (see reals) take a second, integer path through the same points: a request
 for precision 2**-k is the integer k, the answer an integer m with
-|x - m * 2**-k| < 2**-k, and splits become offsets on k.  Procedures given
-here, such as limit's, stay opaque rational procedures; the integer path
-reaches them by rounding an approximant at 2**-(k+1).
+|x - m * 2**-k| < 2**-k, and splits become offsets on k.  A built-in
+operation is data: its operands, each with its offset, and an integer rule
+that combines their answers.  CompletionPoint.scaled is the one place that
+reads operands, so evaluation takes one Python frame per level of nesting.
+Procedures given here, such as limit's, stay opaque rational procedures;
+the integer path reaches them by rounding an approximant at 2**-(k+1).
 """
 
 import threading
@@ -38,12 +41,20 @@ class CompletionPoint:
     (approx, eps -> base element within eps), an integer one (scaled,
     k -> integer m with |x - m * 2**-k| < 2**-k, for a real x), or both.
 
-    Both routes memoize the finest answer seen so far in one pair, _memo:
-    (eps, value) for an opaque procedure, (k, m) for an integer one.  A
-    coarser request may be served from it; that is sound because a value
-    within delta of the point is also within eps for eps >= delta.  A point
-    with both procedures answers approximate() with the opaque one and
-    scaled() with the integer one, which it does not memoize.
+    Built-in operations on reals are a fourth kind, made by the package's
+    _operation: the point holds its operands, each a (point, offset) pair,
+    and an integer rule combine.  scaled(k) asks the operands, in their
+    listed order, for k + offset, and answers combine(k, m_x[, m_y]) once
+    they have returned.  Reading the left operand before the right is what
+    serves Horner's rule p*x + c from one finest answer of x (see reals.mul).
+
+    Points memoize the finest answer seen so far in one pair, _memo:
+    (eps, value) for an opaque procedure, (k, m) for an integer one or an
+    operation.  A coarser request may be served from it; that is sound
+    because a value within delta of the point is also within eps for
+    eps >= delta.  A point with both procedures answers approximate() with
+    the opaque one and scaled() with the integer one, which it does not
+    memoize.
 
     Points carrying an exact base element (built by eta) keep it in `exact`
     and answer every request with it; operations use the tag to fast-path
@@ -56,11 +67,12 @@ class CompletionPoint:
     replaces a finer one.
     """
 
-    __slots__ = ("_approx", "_scaled", "exact", "_lock", "_memo")
+    __slots__ = ("_approx", "_scaled", "_operands", "exact", "_lock", "_memo")
 
     def __init__(self, approx=None, exact=None, scaled=None):
         self._approx = approx
         self._scaled = scaled
+        self._operands = None
         self.exact = exact
         self._lock = threading.Lock()
         self._memo = None
@@ -127,8 +139,18 @@ class CompletionPoint:
         if memo is not None and memo[0] >= k:
             j, m = memo
             return m if j == k else (m + (1 << (j - k - 1))) >> (j - k)
-        # Computed outside the lock, as in approximate().
-        m = self._scaled(k)
+        # Computed outside the lock, as in approximate().  An operation's
+        # operands are read here, in their listed order, and combined once
+        # they have returned: one frame per level of nesting.
+        operands = self._operands
+        if operands is None:
+            m = self._scaled(k)
+        elif len(operands) == 1:
+            (x, i), = operands
+            m = self._scaled(k, x.scaled(k + i))
+        else:
+            (x, i), (y, j) = operands
+            m = self._scaled(k, x.scaled(k + i), y.scaled(k + j))
         with self._lock:
             memo = self._memo
             if memo is None or k > memo[0]:
@@ -180,6 +202,24 @@ def eta(value):
     """
     carrier(value)
     return CompletionPoint(exact=value)
+
+
+def _operation(exact, combine, *operands):
+    """The point of a built-in operation, declared as data.
+
+    operands are one or two (point, offset) pairs: scaled(k) asks each
+    point, in the listed order, for k + offset, and answers combine(k, m_x)
+    or combine(k, m_x, m_y) of their integers.  If exact is given and every
+    operand is exact, the point is exact instead, with exact(x) or
+    exact(x, y) of their rationals.
+    """
+    # With one operand, y is x's value again.
+    x, y = operands[0][0].exact, operands[-1][0].exact
+    if exact is not None and x is not None and y is not None:
+        return CompletionPoint(exact=exact(x) if len(operands) == 1 else exact(x, y))
+    point = CompletionPoint(scaled=combine)
+    point._operands = operands
+    return point
 
 
 def limit(x):

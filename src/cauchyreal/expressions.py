@@ -4,8 +4,9 @@ an expression into a real.
 The parser reads the token list in one loop, with pending operators and open
 frames on an explicit stack (shunting-yard), and the printer and build_real
 walk the tree in post-order on an explicit stack.  So parsing, printing and
-building have no depth limit; approximating the built real still recurses
-once per level of nesting.
+building have no depth limit.  Approximating the built real still recurses,
+one frame per level of nesting (CompletionPoint.scaled reads an operation's
+operands), so about 990 levels evaluate at the default recursion limit.
 
 Grammar, loosest binding first:
 

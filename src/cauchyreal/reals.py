@@ -11,9 +11,11 @@ precision 2**-k is the integer k, the answer an integer m with
 |x - m * 2**-k| < 2**-k.  The completion is the same for any dense subset of
 the rationals, so these dyadic approximants m * 2**-k lose nothing, and they
 keep every approximant's size at k bits plus the value's.  Each operation
-states its precision split once, as offsets on k: it asks its operands for
-k + o, combines their integers, and rounds to the grid 2**-k, which costs at
-most 2**-(k+1).  The operands' share is therefore strictly below 2**-(k+1).
+states its precision split once, as data: its operands with their offsets
+o, its exact rule, and an integer rule combine(k, m_x[, m_y]).
+CompletionPoint.scaled asks the operands for k + o, and combine rounds
+their integers to the grid 2**-k, which costs at most 2**-(k+1).  The
+operands' share is therefore strictly below 2**-(k+1).
 Lipschitz constants, bounds and gaps are rounded to powers of two once, when
 the node is built, so every rounding is a shift or one integer division.
 
@@ -38,7 +40,7 @@ requested precision, four times for the last one):
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .completion import CompletionPoint, eta
+from .completion import CompletionPoint, _operation, eta
 from .partiality import PENDING, TOP, map_partial, monotone_sup, never, now
 from .rational import QPos, ceil_log2, dyadic, round_div
 
@@ -73,17 +75,12 @@ ONE = from_rat(1)
 
 def add(x, y):
     """x + y: each operand at k+2, strictly within 2**-(k+2), then rounded."""
-    if x.exact is not None and y.exact is not None:
-        return from_rat(x.exact + y.exact)
-    return CompletionPoint(
-        scaled=lambda k: (x.scaled(k + 2) + y.scaled(k + 2) + 2) >> 2)
+    return _operation(lambda a, b: a + b, lambda k, m, n: (m + n + 2) >> 2, (x, 2), (y, 2))
 
 
 def neg(x):
     """-x: the operand's answer at k, negated; no rounding."""
-    if x.exact is not None:
-        return from_rat(-x.exact)
-    return CompletionPoint(scaled=lambda k: -x.scaled(k))
+    return _operation(lambda a: -a, lambda k, m: -m, (x, 0))
 
 
 def sub(x, y):
@@ -94,16 +91,12 @@ def sub(x, y):
 def join(x, y):
     """Lattice join max(x, y): the operands at k.  max is non-expanding in
     the larger of the two errors, so no rounding is needed."""
-    if x.exact is not None and y.exact is not None:
-        return from_rat(max(x.exact, y.exact))
-    return CompletionPoint(scaled=lambda k: max(x.scaled(k), y.scaled(k)))
+    return _operation(max, lambda k, m, n: max(m, n), (x, 0), (y, 0))
 
 
 def meet(x, y):
     """Lattice meet min(x, y): the operands at k, as for join."""
-    if x.exact is not None and y.exact is not None:
-        return from_rat(min(x.exact, y.exact))
-    return CompletionPoint(scaled=lambda k: min(x.scaled(k), y.scaled(k)))
+    return _operation(min, lambda k, m, n: min(m, n), (x, 0), (y, 0))
 
 
 def absolute(x):
@@ -119,12 +112,9 @@ def scale(q, x):
     2**-k is one integer division.
     """
     q = Fraction(q)
-    if x.exact is not None:
-        return from_rat(q * x.exact)
     n, d = q.numerator, q.denominator
     e = (abs(n) // d).bit_length()
-    return CompletionPoint(
-        scaled=lambda k: round_div(n * x.scaled(k + e + 1), d << (e + 1)))
+    return _operation(lambda v: q * v, lambda k, m: round_div(n * m, d << (e + 1)), (x, e + 1))
 
 
 def clamp(x, lo, hi):
@@ -162,9 +152,10 @@ def mul(x, y, x_bound=None, y_bound=None):
 
     and rounding U*V to the grid adds at most 2**-(k+1).
 
-    x is read before y.  In a left-deep chain of products with one shared
-    right operand, such as Horner's rule u*x + c, the innermost mul then asks
-    the shared point for the finest precision first, and each outer mul's
+    x is listed, and CompletionPoint.scaled reads operands in order, so x is
+    read before y.  In a left-deep chain of products with one shared right
+    operand, such as Horner's rule u*x + c, the innermost mul then asks the
+    shared point for the finest precision first, and each outer mul's
     coarser request is served from its memo by a rounding shift.  The rule
     only orders the two operands of one product: a shared point whose first
     request is not its finest computes again for each finer one.
@@ -179,14 +170,11 @@ def mul(x, y, x_bound=None, y_bound=None):
     ea = ceil_log2(a.numerator, a.denominator)
     eb = ceil_log2(b.numerator, b.denominator)
 
-    def scaled(k):
-        u = x.scaled(k + ea + 2)
+    def combine(k, u, v):
         clip = 1 << (k + ea + eb + 2)
-        p = u * max(-clip, min(clip, y.scaled(k + eb + 2)))
-        s = k + ea + eb + 4
-        return (p + (1 << (s - 1))) >> s
+        return (u * max(-clip, min(clip, v)) + 2 * clip) >> (k + ea + eb + 4)
 
-    return CompletionPoint(scaled=scaled)
+    return _operation(None, combine, (x, ea + 2), (y, eb + 2))
 
 
 @dataclass(frozen=True)
@@ -227,11 +215,10 @@ def recip_witnessed(x, witness):
         return neg(recip_witnessed(neg(x), ApartnessWitness(True, gap)))
     g = ceil_log2(gap.denominator, gap.numerator)
 
-    def scaled(k):
-        j = k + 2 * g + 1
-        return round_div(1 << (j + k), max(1 << (j - g), x.scaled(j)))
+    def combine(k, u):
+        return round_div(1 << (2 * k + 2 * g + 1), max(1 << (k + g + 1), u))
 
-    return CompletionPoint(scaled=scaled)
+    return _operation(None, combine, (x, 2 * g + 1))
 
 
 def lt_rat_semidecide(x, q):

@@ -298,12 +298,57 @@ def test_eval_reads_literals_past_the_int_to_str_limit(text, value):
     (" + ".join(["1"] * 10000), Fraction(10000)),
     ("(" * 10000 + "1/3" + ")" * 10000, Fraction(1, 3))], ids=["sum", "parentheses"])
 def test_eval_of_input_nested_past_the_recursion_limit(text, value):
-    # an exact value needs no approximation, which still recurses
+    # an exact value needs no approximation, which still takes one frame
+    # per level of nesting
     assert sys.getrecursionlimit() < 10000
     code, out, err = run_main(["eval", text, "--prec", "64", "--format", "rational"])
     eps = dyadic(64)
     assert (code, err) == (0, "")
     assert out == "eps=%s\nlo=%s\nhi=%s\n" % (eps, value - eps, value + eps)
+
+
+_BELOW_SUM = " + ".join(["below(1/3)"] * 800)
+
+
+@pytest.mark.parametrize("text, value", [
+    (_BELOW_SUM, Fraction(800, 3)),
+    ("-" * 800 + "below(1)", Fraction(1)),
+    ("max(" * 800 + "below(1)" + ", 1/2)" * 800, Fraction(1))],
+    ids=["sum", "negations", "max"])
+def test_eval_approximates_800_levels_deep(text, value):
+    # approximation takes one frame per level of nesting, so 800 inexact
+    # levels fit under the default limit of 1000 frames
+    assert sys.getrecursionlimit() <= 1000
+    code, out, err = run_main(["eval", "--prec", "4000", "--format", "rational", "--", text])
+    assert (code, err) == (0, "")
+    answer = dict(line.split("=", 1) for line in out.splitlines())
+    lo, hi = _exact(answer["lo"]), _exact(answer["hi"])
+    assert hi - lo == 2 * dyadic(4000)
+    assert lo <= value <= hi
+
+
+def test_sign_of_a_sum_800_levels_deep():
+    assert sys.getrecursionlimit() <= 1000
+    text = _BELOW_SUM + " - (800/3 - 1/1000)"
+    assert run_main(["sign", "--", text]) == (0, "verdict=positive\nfuel=256\n", "")
+
+
+@pytest.mark.parametrize("argv", [["eval", "--prec", "2000", "1/3"], ["sign", "--", "1/3"]],
+                         ids=["eval", "sign"])
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):
+    # the pipe's read end is closed before the command starts, so its first
+    # write (unbuffered) or its last flush (buffered) meets a broken pipe
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "cauchyreal", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 def test_main_from_threads_prints_what_sequential_calls_print():

@@ -153,6 +153,25 @@ def test_mul_clip_engages_on_overshooting_approximant():
         assert abs(product.approximate(eps) - 3) <= eps
 
 
+def test_horner_chain_computes_its_shared_right_operand_once():
+    # p = p*x + c in 8 steps, x the right operand of each product: the
+    # innermost product asks x first, at the finest precision (1000 plus
+    # the offsets of 8 levels), and each outer one is served from x's memo
+    calls = []
+
+    def third(k):
+        calls.append(k)
+        return ((1 << k) + 1) // 3
+
+    x = CompletionPoint(scaled=third)
+    p = ONE
+    for _ in range(8):
+        p = add(mul(p, x), ONE)
+    calls.clear()   # building reads x for the bounds
+    p.scaled(1000)
+    assert calls == [1047]
+
+
 def test_recip_exact_cases():
     w = ApartnessWitness(True, Fraction(1))
     assert recip_witnessed(from_rat(2), w).exact == Fraction(1, 2)
