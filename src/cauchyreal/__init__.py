@@ -18,8 +18,8 @@ from .completion import (CompletionPoint, CompletionSpace,
                          extend_lipschitz, extend_lipschitz2,
                          monad_map, monad_join, lim_pointwise)
 from .reals import (CReal, ZERO, ONE, ApartnessWitness,
-                    from_rat, from_below, add, neg, sub, join, meet, absolute,
-                    scale, clamp, bound, mul, recip_witnessed,
+                    from_rat, from_below, signed_sum, add, neg, sub, join, meet,
+                    absolute, scale, clamp, bound, mul, recip_witnessed,
                     lt_rat_semidecide, is_positive, compare_partial,
                     find_apart_witness)
 from .expressions import (parse, tokenize, format_expr, build_real,
@@ -39,8 +39,8 @@ __all__ = [
     "extend_lipschitz", "extend_lipschitz2",
     "monad_map", "monad_join", "lim_pointwise",
     "CReal", "ZERO", "ONE", "ApartnessWitness",
-    "from_rat", "from_below", "add", "neg", "sub", "join", "meet", "absolute",
-    "scale", "clamp", "bound", "mul", "recip_witnessed",
+    "from_rat", "from_below", "signed_sum", "add", "neg", "sub", "join", "meet",
+    "absolute", "scale", "clamp", "bound", "mul", "recip_witnessed",
     "lt_rat_semidecide", "is_positive", "compare_partial",
     "find_apart_witness",
     "parse", "tokenize", "format_expr", "build_real",

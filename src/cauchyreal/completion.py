@@ -16,7 +16,8 @@ for precision 2**-k is the integer k, the answer an integer m with
 |x - m * 2**-k| < 2**-k, and splits become offsets on k.  A built-in
 operation is data: its operands, each with its offset, and an integer rule
 that combines their answers.  CompletionPoint.scaled is the one place that
-reads operands, so evaluation takes one Python frame per level of nesting.
+reads operands, so evaluation takes one Python frame per level of nesting,
+however many operands a level has.
 Procedures given here, such as limit's, stay opaque rational procedures;
 the integer path reaches them by rounding an approximant at 2**-(k+1).
 """
@@ -44,7 +45,7 @@ class CompletionPoint:
     Built-in operations on reals are a fourth kind, made by the package's
     _operation: the point holds its operands, each a (point, offset) pair,
     and an integer rule combine.  scaled(k) asks the operands, in their
-    listed order, for k + offset, and answers combine(k, m_x[, m_y]) once
+    listed order, for k + offset, and answers combine(k, m_1, ..., m_n) once
     they have returned.  Reading the left operand before the right is what
     serves Horner's rule p*x + c from one finest answer of x (see reals.mul).
 
@@ -148,9 +149,16 @@ class CompletionPoint:
         elif len(operands) == 1:
             (x, i), = operands
             m = self._scaled(k, x.scaled(k + i))
-        else:
+        elif len(operands) == 2:
             (x, i), (y, j) = operands
             m = self._scaled(k, x.scaled(k + i), y.scaled(k + j))
+        else:
+            # A loop: up to Python 3.11 a comprehension would make k a
+            # cell variable, which slows every read of it above.
+            ms = []
+            for x, i in operands:
+                ms.append(x.scaled(k + i))
+            m = self._scaled(k, *ms)
         with self._lock:
             memo = self._memo
             if memo is None or k > memo[0]:
@@ -207,16 +215,18 @@ def eta(value):
 def _operation(exact, combine, *operands):
     """The point of a built-in operation, declared as data.
 
-    operands are one or two (point, offset) pairs: scaled(k) asks each
-    point, in the listed order, for k + offset, and answers combine(k, m_x)
-    or combine(k, m_x, m_y) of their integers.  If exact is given and every
-    operand is exact, the point is exact instead, with exact(x) or
-    exact(x, y) of their rationals.
+    operands are (point, offset) pairs, any number: scaled(k) asks each
+    point, in the listed order, for k + offset, and answers
+    combine(k, m_1, ..., m_n) of their integers.  If exact is given and
+    every operand is exact, the point is exact instead, with
+    exact(x_1, ..., x_n) of their rationals.
     """
-    # With one operand, y is x's value again.
-    x, y = operands[0][0].exact, operands[-1][0].exact
-    if exact is not None and x is not None and y is not None:
-        return CompletionPoint(exact=exact(x) if len(operands) == 1 else exact(x, y))
+    if exact is not None:
+        for x, _ in operands:
+            if x.exact is None:
+                break
+        else:
+            return CompletionPoint(exact=exact(*[x.exact for x, _ in operands]))
     point = CompletionPoint(scaled=combine)
     point._operands = operands
     return point

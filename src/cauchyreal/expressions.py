@@ -4,9 +4,11 @@ an expression into a real.
 The parser reads the token list in one loop, with pending operators and open
 frames on an explicit stack (shunting-yard), and the printer and build_real
 walk the tree in post-order on an explicit stack.  So parsing, printing and
-building have no depth limit.  Approximating the built real still recurses,
-one frame per level of nesting (CompletionPoint.scaled reads an operation's
-operands), so about 990 levels evaluate at the default recursion limit.
+building have no depth limit.  build_real makes a left-deep chain of + and -
+one signed sum of all its terms, so a sum of any length evaluates in one
+frame.  Approximating other nesting still recurses, one frame per level
+(CompletionPoint.scaled reads an operation's operands), so about 990 levels
+of it evaluate at the default recursion limit.
 
 Grammar, loosest binding first:
 
@@ -36,7 +38,7 @@ from string import ascii_letters, digits
 
 from .rational import format_rat, parse_int
 from .reals import (absolute, add, find_apart_witness, from_below, from_rat,
-                    join, meet, mul, neg, recip_witnessed, sub)
+                    join, meet, mul, neg, recip_witnessed, signed_sum, sub)
 
 
 @dataclass(frozen=True)
@@ -303,9 +305,14 @@ _NODES = {
 
 
 # Markers of the post-order walks: the node under a marker has the results
-# of its two (one) operands on top of the result stack.
+# of its two (one) operands on top of the result stack.  Under _SUM_DONE
+# lies the list of a sum chain's signs, one per term result on the stack.
 _TWO_DONE = object()
 _ONE_DONE = object()
+_SUM_DONE = object()
+
+# The sign of the right operand of each node of a sum chain.
+_SIGNS = {Add: True, Sub: False}
 
 
 def format_expr(node):
@@ -344,12 +351,19 @@ def build_real(node, witness_fuel=64):
     witness_fuel stages; a failed search raises WitnessSearchError rather
     than returning a bogus real.
 
+    A + or - whose left operand is also a + or - heads a chain of three or
+    more terms, as the parser makes a left-deep sum; the whole chain becomes
+    one signed sum (reals.signed_sum), which reads each term at k + e + 1
+    for n <= 2**e terms and evaluates in one frame however long it is.  A
+    lone + or - stays a two-term sum.
+
     Equal subexpressions become one point, so its approximations and its
     witness search are done once.  A table that lives for this call maps a
-    leaf's (class, numerator, denominator) and an operation's (class, ids
-    of its operands' reals) to the real built for it; it holds every real
-    whose id it uses, so no id is reused while it lives.  A key costs O(1)
-    per node, where hashing the AST would cost its size.
+    leaf's (class, numerator, denominator), an operation's (class, ids of
+    its operands' reals) and a chain's (marker, signs, ids of its terms'
+    reals) to the real built for it; it holds every real whose id it uses,
+    so no id is reused while it lives.  A key costs O(1) per node, where
+    hashing the AST would cost its size.
 
     Left operands, and so their witness searches, are built first.
     """
@@ -368,9 +382,35 @@ def build_real(node, witness_fuel=64):
             operands = (reals.pop(),)
             key = (type(node), id(operands[0]))
         elif type(node) not in _NODES:
-            raise TypeError("not an expression node: %r" % (node,))
+            # The sum marker is looked for only here, off the nodes' path.
+            if node is not _SUM_DONE:
+                raise TypeError("not an expression node: %r" % (node,))
+            signs = tuple(todo.pop())
+            terms = reals[-len(signs):]
+            del reals[-len(signs):]
+            key = (_SUM_DONE, signs, *map(id, terms))
+            real = shared.get(key)
+            if real is None:
+                real = shared[key] = signed_sum(terms, signs)
+            reals.append(real)
+            continue
         elif isinstance(node, _Binary):
-            todo += (node, _TWO_DONE, node.right, node.left)
+            plus = _SIGNS.get(type(node))
+            if plus is None or type(node.left) not in _SIGNS:
+                todo += (node, _TWO_DONE, node.right, node.left)
+                continue
+            # Down the left spine, the right operands from the last term
+            # back, so that the first term is built first.
+            signs = []
+            todo += (signs, _SUM_DONE)
+            while plus is not None:
+                signs.append(plus)
+                todo.append(node.right)
+                node = node.left
+                plus = _SIGNS.get(type(node))
+            signs.append(True)
+            signs.reverse()
+            todo.append(node)
             continue
         elif isinstance(node, _Unary):
             todo += (node, _ONE_DONE, node.operand)

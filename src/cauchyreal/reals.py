@@ -12,10 +12,14 @@ precision 2**-k is the integer k, the answer an integer m with
 the rationals, so these dyadic approximants m * 2**-k lose nothing, and they
 keep every approximant's size at k bits plus the value's.  Each operation
 states its precision split once, as data: its operands with their offsets
-o, its exact rule, and an integer rule combine(k, m_x[, m_y]).
+o, its exact rule, and an integer rule combine(k, m_1, ..., m_n).
 CompletionPoint.scaled asks the operands for k + o, and combine rounds
 their integers to the grid 2**-k, which costs at most 2**-(k+1).  The
-operands' share is therefore strictly below 2**-(k+1).
+operands' share is therefore strictly below 2**-(k+1).  A sum of n terms,
+each added or subtracted, is one such operation, signed_sum: it is
+n-Lipschitz in the max metric, so with n <= 2**e each term is read at
+k + e + 1 and their errors together stay under 2**-(k+1).  add and sub are
+its two-term case, at k + 2.
 Lipschitz constants, bounds and gaps are rounded to powers of two once, when
 the node is built, so every rounding is a shift or one integer division.
 
@@ -73,19 +77,74 @@ ZERO = from_rat(0)
 ONE = from_rat(1)
 
 
+def signed_sum(terms, signs):
+    """The sum of terms, each added where its sign is true and subtracted
+    where it is false.
+
+    A sum of n terms is n-Lipschitz in the max metric.  With n <= 2**e, each
+    term read at k+e+1 is strictly within 2**-(k+e+1), so the n errors stay
+    strictly under 2**-(k+1); a subtracted term negates its integer, and the
+    signed total S is rounded by e+1 bits, (S + 2**e) >> (e+1), which adds
+    at most 2**-(k+1).  The exact terms fold into one exact term first, the
+    last, signed as a rational, since round_div rounds halves up and so does
+    not commute with negation.  With every term exact the sum is exact.
+    """
+    points = []
+    minus = []
+    constant = None
+    lone = None  # the exact term's own point while it is the only one, added
+    for x, plus in zip(terms, signs):
+        q = x.exact
+        if q is None:
+            if not plus:
+                minus.append(len(points))
+            points.append(x)
+        else:
+            lone = x if constant is None and plus else None
+            q = q if plus else -q
+            constant = q if constant is None else constant + q
+    if constant is not None:
+        points.append(lone or CompletionPoint(exact=constant))
+        if len(points) == 1:
+            return points[0]
+    if len(points) == 2:
+        x, y = points
+        return _operation(None, _PAIRS[tuple(minus)], (x, 2), (y, 2))
+    e = (len(points) - 1).bit_length()
+    o = e + 1
+    half = 1 << e
+
+    def combine(k, *ms):
+        return (sum(ms) - 2 * sum(map(ms.__getitem__, minus)) + half) >> o
+
+    return _operation(None, combine, *[(x, o) for x in points])
+
+
+# The rule at n = 2, e = 1, by the places of the subtracted terms: shared
+# functions, so that add and sub build no closure, and combine with no *ms.
+_PAIRS = {
+    (): lambda k, m, n: (m + n + 2) >> 2,
+    (1,): lambda k, m, n: (m - n + 2) >> 2,
+    (0,): lambda k, m, n: (n - m + 2) >> 2,
+    (0, 1): lambda k, m, n: (2 - m - n) >> 2,
+}
+
+
 def add(x, y):
-    """x + y: each operand at k+2, strictly within 2**-(k+2), then rounded."""
-    return _operation(lambda a, b: a + b, lambda k, m, n: (m + n + 2) >> 2, (x, 2), (y, 2))
+    """x + y, the signed sum of two terms: each operand at k+2, and
+    (m + n + 2) >> 2."""
+    return signed_sum((x, y), (True, True))
+
+
+def sub(x, y):
+    """x - y, the signed sum of two terms: each operand at k+2, and
+    (m - n + 2) >> 2."""
+    return signed_sum((x, y), (True, False))
 
 
 def neg(x):
     """-x: the operand's answer at k, negated; no rounding."""
     return _operation(lambda a: -a, lambda k, m: -m, (x, 0))
-
-
-def sub(x, y):
-    """x - y, as x + (-y)."""
-    return add(x, neg(y))
 
 
 def join(x, y):

@@ -308,16 +308,20 @@ def test_eval_of_input_nested_past_the_recursion_limit(text, value):
 
 
 _BELOW_SUM = " + ".join(["below(1/3)"] * 800)
+# a sum nested to the right stays a chain of two-term sums, 800 levels deep
+_RIGHT_SUM = "below(1/3) + (" * 799 + "below(1/3)" + ")" * 799
 
 
 @pytest.mark.parametrize("text, value", [
     (_BELOW_SUM, Fraction(800, 3)),
+    (_RIGHT_SUM, Fraction(800, 3)),
     ("-" * 800 + "below(1)", Fraction(1)),
     ("max(" * 800 + "below(1)" + ", 1/2)" * 800, Fraction(1))],
-    ids=["sum", "negations", "max"])
+    ids=["sum", "right_nested_sum", "negations", "max"])
 def test_eval_approximates_800_levels_deep(text, value):
     # approximation takes one frame per level of nesting, so 800 inexact
-    # levels fit under the default limit of 1000 frames
+    # levels fit under the default limit of 1000 frames; a left-deep sum is
+    # one level, a signed sum of all its terms
     assert sys.getrecursionlimit() <= 1000
     code, out, err = run_main(["eval", "--prec", "4000", "--format", "rational", "--", text])
     assert (code, err) == (0, "")
@@ -331,6 +335,42 @@ def test_sign_of_a_sum_800_levels_deep():
     assert sys.getrecursionlimit() <= 1000
     text = _BELOW_SUM + " - (800/3 - 1/1000)"
     assert run_main(["sign", "--", text]) == (0, "verdict=positive\nfuel=256\n", "")
+
+
+def test_sign_of_a_right_nested_sum_800_levels_deep():
+    assert sys.getrecursionlimit() <= 1000
+    text = _RIGHT_SUM + " - (800/3 - 1/1000)"
+    assert run_main(["sign", "--", text]) == (0, "verdict=positive\nfuel=256\n", "")
+
+
+def _mixed_sum(terms):
+    """below(1/7) + below(2/7) + below(3/7) - below(4/7) + ..., every third
+    term from the third subtracted, and its value."""
+    text = ["below(1/7)"]
+    value = Fraction(1, 7)
+    for i in range(2, terms + 1):
+        minus = i % 3 == 0
+        text.append(" %s below(%d/7)" % ("-" if minus else "+", i))
+        value += Fraction(-i if minus else i, 7)
+    return "".join(text), value
+
+
+@pytest.mark.parametrize("terms", [10000, 100000])
+@pytest.mark.parametrize("prec", [64, 4000])
+def test_eval_of_a_long_mixed_sum(terms, prec):
+    # a left-deep chain of + and - is one signed sum, which reads each term
+    # at k + e + 1 for terms <= 2**e and evaluates in one frame.  100,000
+    # terms pass Linux's 128 KiB limit on one argument, so the command line
+    # runs in-process
+    assert sys.getrecursionlimit() <= 1000
+    text, value = _mixed_sum(terms)
+    code, out, err = run_main(["eval", "--prec", str(prec), "--format", "rational", "--",
+                               text])
+    assert (code, err) == (0, "")
+    answer = dict(line.split("=", 1) for line in out.splitlines())
+    lo, hi = _exact(answer["lo"]), _exact(answer["hi"])
+    assert hi - lo == 2 * dyadic(prec)
+    assert lo < value < hi
 
 
 @pytest.mark.parametrize("argv", [["eval", "--prec", "2000", "1/3"], ["sign", "--", "1/3"]],

@@ -11,6 +11,8 @@ from cauchyreal import (RATIONALS, CompletionSpace, LipschitzFn, QPos,
                         eta, extend_lipschitz, extend_lipschitz2, fires,
                         lim_pointwise, limit, monad_join, monad_map)
 
+from cauchyreal.completion import _operation
+
 from oracles import first_k_with_margin
 
 
@@ -108,6 +110,20 @@ def test_memo_serves_finer_answer_for_coarser_request():
     # a later, coarser request may legally reuse the cached finer value
     assert x.approximate(Fraction(1)) == fine
     assert abs(x.approximate(Fraction(1)) - 4) <= 1
+
+
+def test_an_operation_of_three_operands_folds_only_when_all_are_exact():
+    third = eta(Fraction(1, 3))
+
+    def point(middle):
+        return _operation(lambda a, b, c: a + b + c, lambda k, *ms: sum(ms),
+                          (third, 0), (middle, 0), (third, 0))
+
+    assert point(eta(Fraction(1))).exact == Fraction(5, 3)
+    # an inexact middle operand leaves the point inexact, read in full
+    inexact = point(below(1))
+    assert inexact.exact is None
+    assert inexact.scaled(10) == 2 * 341 + below(1).scaled(10)
 
 
 def test_underlying_procedure_is_cauchy():

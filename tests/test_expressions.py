@@ -157,6 +157,21 @@ def test_equal_subtrees_build_one_point(monkeypatch):
     # one below(1), one sum and the product
     assert sorted(built) == ["Add", "FromBelow", "Mul"]
     assert abs(point.approximate(dyadic(20)) - 4) <= dyadic(20)
+    # a chain of three terms is one signed sum, keyed on its signs as well
+    sums = []
+    signed_sum = expressions.signed_sum
+    monkeypatch.setattr(expressions, "signed_sum",
+                        lambda terms, signs: sums.append(signs) or signed_sum(terms, signs))
+    built.clear()
+    a_b_c = "(below(1) + below(2) - below(4))"
+    point = build_real(parse(a_b_c + " * " + a_b_c))
+    assert sums == [(True, True, False)]
+    assert sorted(built) == ["FromBelow"] * 3 + ["Mul"]
+    assert abs(point.approximate(dyadic(20)) - 1) <= dyadic(20)
+    sums.clear()
+    point = build_real(parse(a_b_c + " * (below(1) - below(2) + below(4))"))
+    assert sums == [(True, True, False), (True, False, True)]
+    assert abs(point.approximate(dyadic(20)) + 3) <= dyadic(20)
 
 
 DEEP = 10000

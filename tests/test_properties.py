@@ -4,7 +4,8 @@ Expressions have depth at most 5 and use + - * max min abs below, and
 division by literals >= 1, so every division finds its witness.  Literals are
 non-negative except inside below(...), as the parser makes them.  Garbled
 text, for the parser's error paths, is printed expressions with runs of
-tokens replaced, or the grammar's tokens in any order.
+tokens replaced, or the grammar's tokens in any order.  Signed sums of up
+to 60 terms are checked term by term against the exact sum.
 """
 
 import re
@@ -16,8 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from cauchyreal import (PENDING, CompletionPoint, Done, add, build_real, dyadic,
                         evaluate_enclosure, find_apart_witness, fires,
-                        format_expr, format_rat, from_rat, interleave,
-                        is_positive, limit, lt_rat_semidecide, neg, parse, sub)
+                        format_expr, format_rat, from_below, from_rat, interleave,
+                        is_positive, limit, lt_rat_semidecide, neg, parse,
+                        signed_sum, sub)
 from cauchyreal.cli import cmd_eval, decimal_digits, format_decimal
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
                                     Neg, ParseError, RatLit, Sub)
@@ -228,6 +230,67 @@ def test_verdict_stages_are_monotone(node, offset, kind, warm):
         if out is not PENDING:
             finer = apart(k + 1).run(0)
             assert finer is not PENDING and finer.value.positive == out.value.positive
+
+
+def _leaning(q, up):
+    """q behind an opaque procedure whose approximants lean to one edge of
+    their allowance: q + (1 - 2**-40) * eps, or as far below q."""
+    lean = (1 - dyadic(40)) * (1 if up else -1)
+    return q, CompletionPoint(lambda eps: q + lean * eps)
+
+
+def _edge(q, up):
+    """q + 2**-600 on the integer path, answered by the ceiling of its
+    multiple of 2**k, just under 2**-k too high when q is dyadic; or
+    q - 2**-600 and the floor, as far too low."""
+    v = q + dyadic(600) if up else q - dyadic(600)
+
+    def scaled(k):
+        t = v * 2 ** k
+        return -(-t.numerator // t.denominator) if up else t.numerator // t.denominator
+
+    return v, CompletionPoint(scaled=scaled)
+
+
+_SUM_TERMS = {
+    "exact": lambda q, up: (q, from_rat(q)),
+    "below": lambda q, up: (q, from_below(q)),
+    "opaque": _leaning,
+    "edge": _edge,
+}
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(st.sampled_from(sorted(_SUM_TERMS)), _SIGNED, st.booleans()),
+                min_size=3, max_size=60),
+       st.booleans())
+@example([("below", Fraction(1, 2), True), ("exact", Fraction(1, 8), False),
+          ("exact", Fraction(0), True)], True)
+def test_signed_sums_answer_within_their_allowance(terms, up):
+    # (kind, q, added) triples; the opaque and edge terms all err so as to
+    # move the sum up, or all down.  The exact terms fold on the rational:
+    # the sum answers as its inexact terms plus one exact term, their signed
+    # sum.  In the example, rounding 1/8 before negating it would answer 0
+    # at k = 0, where the folded sum answers 1.
+    values, points = zip(*(_SUM_TERMS[kind](q, up == plus) for kind, q, plus in terms))
+    signs = [plus for _, _, plus in terms]
+    value = sum(v if plus else -v for v, plus in zip(values, signs))
+    total = signed_sum(points, signs)
+    inexact = [(x, plus) for x, plus in zip(points, signs) if x.exact is None]
+    if not inexact:
+        assert total.exact == value
+        return
+    folded = None
+    if len(inexact) < len(terms):
+        constant = sum(x.exact if plus else -x.exact for x, plus in zip(points, signs)
+                       if x.exact is not None)
+        folded = signed_sum([x for x, _ in inexact] + [from_rat(constant)],
+                            [plus for _, plus in inexact] + [True])
+    for k in PRECISIONS:
+        m = total.scaled(k)
+        assert abs(m * dyadic(k) - value) < dyadic(k)
+        if folded is not None:
+            assert folded.scaled(k) == m
 
 
 @st.composite
