@@ -20,7 +20,7 @@ from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, DivisionByZero,
                      Inexact, InvalidOperation, Overflow)
 from fractions import Fraction
 
-from .expressions import ParseError, WitnessSearchError, build_real, parse
+from .expressions import ParseError, WitnessSearchError, build_real
 from .partiality import PENDING
 from .rational import dyadic, dyadic_rat, format_int
 from .reals import compare_partial, is_positive
@@ -52,13 +52,13 @@ def _witness_fuel(witness_fuel, steps):
 
 
 def evaluate_enclosure(text, prec_exponent, witness_fuel=None):
-    """Parse text and enclose its value within radius 2**-prec_exponent.
+    """Build text's real and enclose its value within radius 2**-prec_exponent.
 
     Returns the midpoint's enclosure [m - eps, m + eps] where m is the
     eps-approximant; both endpoints are exact rationals.  A dyadic m is
     shifted onto the finer grid of its own and eps's, sparing a gcd.
     """
-    point = build_real(parse(text), _witness_fuel(witness_fuel, prec_exponent))
+    point = build_real(text, _witness_fuel(witness_fuel, prec_exponent))
     eps = dyadic(prec_exponent)
     mid = point.approximate(eps)
     den = mid.denominator
@@ -248,14 +248,14 @@ def cmd_eval(expr, prec, witness_fuel, fmt, out):
 
 
 def cmd_sign(expr, fuel, witness_fuel, out):
-    point = build_real(parse(expr), _witness_fuel(witness_fuel, fuel))
+    point = build_real(expr, _witness_fuel(witness_fuel, fuel))
     return _write_verdict(out, is_positive(point).run(fuel), fuel, "positive", "negative")
 
 
 def cmd_compare(a, b, fuel, witness_fuel, out):
     witness_fuel = _witness_fuel(witness_fuel, fuel)
-    x = build_real(parse(a), witness_fuel)
-    y = build_real(parse(b), witness_fuel)
+    x = build_real(a, witness_fuel)
+    y = build_real(b, witness_fuel)
     # One scan decides both orientations: the sign of y - x.
     return _write_verdict(out, compare_partial(x, y).run(fuel), fuel, "lt", "gt")
 

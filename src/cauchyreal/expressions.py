@@ -1,12 +1,16 @@
 """Expression front end: AST, tokenizer, parser, printer, and evaluation of
-an expression into a real.
+an expression, or of its text, into a real.
 
-The parser reads the token list in one loop, with pending operators and open
-frames on an explicit stack (shunting-yard), and the printer and build_real
-walk the tree in post-order on an explicit stack.  So parsing, printing and
-building have no depth limit.  build_real makes a left-deep chain of + and -
-one signed sum of all its terms, so a sum of any length evaluates in one
-frame.  Approximating other nesting still recurses, one frame per level
+Text becomes tokens, and the tokens one postfix order: a (class, rational)
+pair for each literal and below(...), and each operation's node class after
+its operands.  A shunting-yard loop makes that order, with pending operators
+and open frames on an explicit stack, and one post-order walk, also on an
+explicit stack, makes the same order from an AST.  parse, format_expr and
+build_real are three folds of the order on a stack of results: AST nodes,
+text and reals.  So parsing, printing and building have no depth limit, and
+building from text makes no AST.  build_real makes a chain of + and - one
+signed sum of all its terms, so a sum of any length evaluates in one frame.
+Approximating other nesting still recurses, one frame per level
 (CompletionPoint.scaled reads an operation's operands), so about 990 levels
 of it evaluate at the default recursion limit.
 
@@ -49,8 +53,10 @@ class RatLit:
 @dataclass(frozen=True)
 class FromBelow:
     """The canonical strictly-increasing approximation of a rational:
-    the limit of eps -> value - eps.  Denotes value, but never reports it
-    exactly, which makes it the stock generic-path test subject."""
+    the limit of eps -> value - eps.  Denotes value, and carries no exact
+    tag, which makes it the stock generic-path test subject.  Its own
+    approximate never reports value; its integer answers, and what an
+    operation computes from them, may (see reals.from_below)."""
     value: Fraction
 
 
@@ -190,21 +196,23 @@ def _literal(text, tokens, i):
 # Only 'sym' tokens carry a str of punctuation, so the parser tells symbols
 # apart by the token's value alone.  The pending stack holds Neg, pairs
 # (binding, node class) for binary operators, which associate left, and
-# triples (0, builder, closer) for open frames, whose binding 0 stops every
-# reduction.  max and min close their first argument with ',' and then
-# reopen as (0, Max, ')').
+# triples (0, node class, closer) for open frames, whose binding 0 stops
+# every reduction.  A group's frame has no class.  max and min close their
+# first argument with ',' and then reopen as (0, Max, ')').
 _BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
-_GROUP = (0, None, ")")
 _FUNCTIONS = {"max": (0, Max, ","), "min": (0, Min, ","), "abs": (0, Abs, ")")}
 
 
-def parse(text):
-    """Parse an expression; raises ParseError with a position on bad input.
+def _postfix(text):
+    """The postfix order of an expression's text: a (class, rational) pair
+    for each literal and below(...), and each operation's node class after
+    its operands.  Raises ParseError with a position on bad input.
 
-    The AST, and the failing token and message, are the grammar's recursive
-    descent's; the left operands wait on a second stack."""
+    The order, and the failing token and message, are the grammar's
+    recursive descent's: an operator leaves the pending stack when the next
+    token closes it."""
     tokens = tokenize(text)
-    operands = []
+    order = []
     pending = []
     i = 0
     while True:
@@ -216,7 +224,7 @@ def parse(text):
             if value == "-":
                 pending.append(Neg)
             elif value == "(":
-                pending.append(_GROUP)
+                pending.append((0, None, ")"))
             else:
                 _fail(text, tok)
             continue
@@ -237,45 +245,91 @@ def parse(text):
             if tokens[i][1] != ")":
                 _fail(text, tokens[i])
             i += 1
-            node = FromBelow(-q if negative else q)
+            order.append((FromBelow, -q if negative else q))
         else:
             q, i = _literal(text, tokens, i)
-            node = RatLit(q)
-        # node is an operand: apply its prefix minuses, then reduce what the
+            order.append((RatLit, q))
+        # An operand is done: apply its prefix minuses, then reduce what the
         # next token closes, until that token needs another operand.  Once
         # the minuses are applied no Neg is on top, and none ever lies right
         # under an operator, so pending[-1][0] reads only tuples.
         while True:
             while pending and pending[-1] is Neg:
-                pending.pop()
-                node = Neg(node)
+                order.append(pending.pop())
             tok = tokens[i]
             i += 1
             binary = _BINARY.get(tok[1]) if tok[0] == "sym" else None
             if binary is not None:
                 binding = binary[0]
                 while pending and pending[-1][0] >= binding:
-                    node = pending.pop()[1](operands.pop(), node)
-                operands.append(node)
+                    order.append(pending.pop()[1])
                 pending.append(binary)
                 break
             while pending and pending[-1][0]:
-                node = pending.pop()[1](operands.pop(), node)
+                order.append(pending.pop()[1])
             if not pending:
                 if tok[0] != "end":
                     _fail(text, tok)
-                return node
-            _, builder, closer = pending.pop()
+                return order
+            _, cls, closer = pending.pop()
             if tok[1] != closer:
                 _fail(text, tok)
             if closer == ",":
-                operands.append(node)
-                pending.append((0, builder, ")"))
+                pending.append((0, cls, ")"))
                 break
-            if builder is Abs:
-                node = Abs(node)
-            elif builder is not None:
-                node = builder(operands.pop(), node)
+            if cls is not None:
+                order.append(cls)
+
+
+# The marker of the AST walk: the node class under it follows its operands.
+_DONE = object()
+
+
+def _postorder(node):
+    """The postfix order of an AST, as _postfix gives it for the text the
+    AST was parsed from.  Raises TypeError for anything that is not a node,
+    so before any fold reads an operand."""
+    order = []
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if node is _DONE:
+            order.append(todo.pop())
+        elif type(node) not in _NODES:
+            raise TypeError("not an expression node: %r" % (node,))
+        elif isinstance(node, _Binary):
+            todo += (type(node), _DONE, node.right, node.left)
+        elif isinstance(node, _Unary):
+            todo += (type(node), _DONE, node.operand)
+        else:
+            order.append((type(node), node.value))
+    return order
+
+
+def _fold(order, leaf, operation):
+    """Reduce a postfix order on a stack of results: leaf(cls, q) for each
+    literal, and operation(cls, *results) of each operation's operands.
+    Results are made left to right, so a left operand's before a right."""
+    results = []
+    for item in order:
+        if type(item) is tuple:
+            results.append(leaf(*item))
+        elif item is Neg or item is Abs:
+            results[-1] = operation(item, results[-1])
+        else:
+            right = results.pop()
+            results[-1] = operation(item, results[-1], right)
+    return results[0]
+
+
+def _node(cls, *operands):
+    return cls(*operands)
+
+
+def parse(text):
+    """Parse an expression into its AST; raises ParseError with a position
+    on bad input."""
+    return _fold(_postfix(text), _node, _node)
 
 
 def _divide(numer, denom, witness_fuel):
@@ -303,16 +357,16 @@ _NODES = {
     Min: ("min(%s, %s)", meet),
 }
 
-
-# Markers of the post-order walks: the node under a marker has the results
-# of its two (one) operands on top of the result stack.  Under _SUM_DONE
-# lies the list of a sum chain's signs, one per term result on the stack.
-_TWO_DONE = object()
-_ONE_DONE = object()
-_SUM_DONE = object()
-
-# The sign of the right operand of each node of a sum chain.
+# The sign of the right operand of a + or -.
 _SIGNS = {Add: True, Sub: False}
+
+
+def _print_leaf(cls, q):
+    return _NODES[cls][0] % format_rat(q)
+
+
+def _print_operation(cls, *texts):
+    return _NODES[cls][0] % texts
 
 
 def format_expr(node):
@@ -322,109 +376,81 @@ def format_expr(node):
     literals only inside below(...); elsewhere a negative RatLit prints as
     -p/q, which parses as Neg of the positive literal, the same value.
     """
-    texts = []
-    todo = [node]
-    while todo:
-        node = todo.pop()
-        if node is _TWO_DONE:
-            node = todo.pop()
-            right = texts.pop()
-            texts[-1] = _NODES[type(node)][0] % (texts[-1], right)
-        elif node is _ONE_DONE:
-            node = todo.pop()
-            texts[-1] = _NODES[type(node)][0] % texts[-1]
-        elif type(node) not in _NODES:
-            raise TypeError("not an expression node: %r" % (node,))
-        elif isinstance(node, _Binary):
-            todo += (node, _TWO_DONE, node.right, node.left)
-        elif isinstance(node, _Unary):
-            todo += (node, _ONE_DONE, node.operand)
-        else:
-            texts.append(_NODES[type(node)][0] % format_rat(node.value))
-    return texts[0]
+    return _fold(_postorder(node), _print_leaf, _print_operation)
 
 
-def build_real(node, witness_fuel=64):
-    """Evaluate an AST into a real.
+def build_real(expr, witness_fuel=64):
+    """Evaluate an expression, an AST or its text, into a real.
 
     Division searches an apartness witness for its denominator within
     witness_fuel stages; a failed search raises WitnessSearchError rather
-    than returning a bogus real.
+    than returning a bogus real.  Text is read into its postfix order whole
+    before anything is built, so a ParseError anywhere in it comes before
+    every witness search; it builds no AST.
 
-    A + or - whose left operand is also a + or - heads a chain of three or
-    more terms, as the parser makes a left-deep sum; the whole chain becomes
-    one signed sum (reals.signed_sum), which reads each term at k + e + 1
-    for n <= 2**e terms and evaluates in one frame however long it is.  A
-    lone + or - stays a two-term sum.
+    A + or - makes an open list of signs and terms, such as the parser's
+    a + b - c makes one of three, and each + or - whose left operand it is
+    appends to it.  Any other use of it, as the operand of another
+    operation or the right operand of a + or -, and the end of the build
+    close it.  A chain of three or more terms closes to one signed sum
+    (reals.signed_sum), which reads each term at k + e + 1 for n <= 2**e
+    terms and evaluates in one frame however long it is.  A lone + or -
+    stays a two-term sum.
 
     Equal subexpressions become one point, so its approximations and its
     witness search are done once.  A table that lives for this call maps a
     leaf's (class, numerator, denominator), an operation's (class, ids of
-    its operands' reals) and a chain's (marker, signs, ids of its terms'
-    reals) to the real built for it; it holds every real whose id it uses,
-    so no id is reused while it lives.  A key costs O(1) per node, where
-    hashing the AST would cost its size.
+    its operands' reals) and a chain's (signs, ids of its terms' reals) to
+    the real built for it; it holds every real whose id it uses, so no id
+    is reused while it lives.  A key costs O(1) per node, where hashing the
+    AST would cost its size.
 
     Left operands, and so their witness searches, are built first.
     """
+    order = _postfix(expr) if isinstance(expr, str) else _postorder(expr)
     shared = {}
-    reals = []
-    todo = [node]
-    while todo:
-        node = todo.pop()
-        if node is _TWO_DONE:
-            node = todo.pop()
-            right = reals.pop()
-            operands = (reals.pop(), right)
-            key = (type(node), id(operands[0]), id(right))
-        elif node is _ONE_DONE:
-            node = todo.pop()
-            operands = (reals.pop(),)
-            key = (type(node), id(operands[0]))
-        elif type(node) not in _NODES:
-            # The sum marker is looked for only here, off the nodes' path.
-            if node is not _SUM_DONE:
-                raise TypeError("not an expression node: %r" % (node,))
-            signs = tuple(todo.pop())
-            terms = reals[-len(signs):]
-            del reals[-len(signs):]
-            key = (_SUM_DONE, signs, *map(id, terms))
-            real = shared.get(key)
-            if real is None:
-                real = shared[key] = signed_sum(terms, signs)
-            reals.append(real)
-            continue
-        elif isinstance(node, _Binary):
-            plus = _SIGNS.get(type(node))
-            if plus is None or type(node.left) not in _SIGNS:
-                todo += (node, _TWO_DONE, node.right, node.left)
-                continue
-            # Down the left spine, the right operands from the last term
-            # back, so that the first term is built first.
-            signs = []
-            todo += (signs, _SUM_DONE)
-            while plus is not None:
-                signs.append(plus)
-                todo.append(node.right)
-                node = node.left
-                plus = _SIGNS.get(type(node))
-            signs.append(True)
-            signs.reverse()
-            todo.append(node)
-            continue
-        elif isinstance(node, _Unary):
-            todo += (node, _ONE_DONE, node.operand)
-            continue
-        else:
-            operands = (node.value,)
-            key = (type(node), node.value.numerator, node.value.denominator)
+
+    def leaf(cls, q):
+        key = (cls, q.numerator, q.denominator)
         real = shared.get(key)
         if real is None:
-            operation = _NODES[type(node)][1]
-            if operation is _divide:
-                real = _divide(*operands, witness_fuel)
-            else:
-                real = operation(*operands)
-            shared[key] = real
-        reals.append(real)
-    return reals[0]
+            real = shared[key] = _NODES[cls][1](q)
+        return real
+
+    def built(cls, *operands):
+        # The shared real of the operation cls on its operands' reals.
+        key = (cls, *map(id, operands))
+        real = shared.get(key)
+        if real is None:
+            make = _NODES[cls][1]
+            real = shared[key] = (make(*operands, witness_fuel) if make is _divide
+                                  else make(*operands))
+        return real
+
+    def close(result):
+        # The real of a result: an open chain [signs, term, term, ...] is
+        # closed, and two terms make the binary operation, not a chain.
+        if type(result) is not list:
+            return result
+        signs, *terms = result
+        if len(terms) == 2:
+            return built(Add if signs[1] else Sub, *terms)
+        signs = tuple(signs)
+        key = (signs, tuple(map(id, terms)))
+        real = shared.get(key)
+        if real is None:
+            real = shared[key] = signed_sum(terms, signs)
+        return real
+
+    def operation(cls, *operands):
+        plus = _SIGNS.get(cls)
+        if plus is None:
+            return built(cls, *map(close, operands))
+        left, right = operands
+        if type(left) is not list:
+            return [[True, plus], left, close(right)]
+        left[0].append(plus)
+        left.append(close(right))
+        return left
+
+    return close(_fold(order, leaf, operation))

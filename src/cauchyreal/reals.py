@@ -60,11 +60,14 @@ def from_rat(q):
 
 
 def from_below(q):
-    """q as the limit of eps -> q - eps, which never reports q exactly.
+    """q as the limit of eps -> q - eps.
 
-    The approximant at eps is limit's rule applied to that family, q - eps/2.
-    The integer path rounds the same approximant at 2**-(k+1), which is
-    q - 2**-(k+2), to floor(q * 2**k + 1/4), without building the family.
+    The approximant at eps is limit's rule applied to that family, q - eps/2,
+    so the point's own approximate never reports q exactly.  The integer
+    path rounds the same approximant at 2**-(k+1), which is q - 2**-(k+2),
+    to floor(q * 2**k + 1/4), without building the family; that is q * 2**k
+    whenever q sits on the grid 2**-k, so scaled, and whatever is computed
+    from it, may report q itself.
     """
     if type(q) is not Fraction:
         q = Fraction(q)
@@ -159,8 +162,9 @@ def meet(x, y):
 
 
 def absolute(x):
-    """|x|, as join(x, -x)."""
-    return join(x, neg(x))
+    """|x|: the operand's answer at k, made absolute, with no rounding; one
+    node where join(x, -x) is two."""
+    return _operation(abs, lambda k, m: abs(m), (x, 0))
 
 
 def scale(q, x):
@@ -265,17 +269,17 @@ def recip_witnessed(x, witness):
         |2**j/u - 1/x| <= 2**(2g) * |u * 2**-j - x|  <  2**-(k+1),
 
     plus at most 2**-(k+1) from the rounding.  The negative case mirrors
-    through negation: 1/x = -(1/(-x)).
+    through negation, 1/x = -(1/(-x)), in the same node: with s the sign,
+    s * u is floored and the quotient multiplied by s.
     """
     gap = QPos(witness.gap)
     if x.exact is not None:
         return from_rat(1 / x.exact)
-    if not witness.positive:
-        return neg(recip_witnessed(neg(x), ApartnessWitness(True, gap)))
     g = ceil_log2(gap.denominator, gap.numerator)
+    s = 1 if witness.positive else -1
 
     def combine(k, u):
-        return round_div(1 << (2 * k + 2 * g + 1), max(1 << (k + g + 1), u))
+        return s * round_div(1 << (2 * k + 2 * g + 1), max(1 << (k + g + 1), s * u))
 
     return _operation(None, combine, (x, 2 * g + 1))
 

@@ -4,7 +4,9 @@ Everything here deliberately avoids the package's arithmetic: expression
 values are computed structurally over Fractions, and the low-level rational
 oracle works on raw integer pairs with its own normalization.  When a test
 asserts against these, agreement means two separate routes reached the same
-answer.
+answer.  The one exception is the old compositions of |x| and of a
+reciprocal by a negative witness, out of the package's own operations: the
+one-node rules that replaced them must answer bit for bit as they did.
 """
 
 import math
@@ -15,7 +17,7 @@ from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
                                     Neg, ParseError, RatLit, Sub, tokenize)
 from cauchyreal.partiality import TOP, countable_sup, never
 from cauchyreal.rational import dyadic
-from cauchyreal.reals import ApartnessWitness
+from cauchyreal.reals import ApartnessWitness, join, neg, recip_witnessed
 
 
 def eval_exact(node):
@@ -46,6 +48,19 @@ def eval_exact(node):
     if isinstance(node, Min):
         return min(eval_exact(node.left), eval_exact(node.right))
     raise TypeError("not an expression node: %r" % (node,))
+
+
+def composed_absolute(x):
+    """|x| as join(x, -x), two nodes."""
+    return join(x, neg(x))
+
+
+def composed_recip_witnessed(x, witness):
+    """1/x, by a negative witness as -(1/(-x)): the positive rule on -x,
+    between two negations."""
+    if witness.positive:
+        return recip_witnessed(x, witness)
+    return neg(recip_witnessed(neg(x), ApartnessWitness(True, witness.gap)))
 
 
 def norm_pair(n, d):

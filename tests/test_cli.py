@@ -470,3 +470,26 @@ def test_installed_entry_point():
                            "lo.decimal=0.25\nhi.decimal=0.32\n")
     done = subprocess.run([exe, "eval", "1/(1-1)"], capture_output=True, text=True)
     assert done.returncode == 2
+
+
+def test_a_syntax_error_beats_a_failing_division():
+    # the whole text parses before the division's witness search would fail
+    code, out, err = run_main(["eval", "--", "1/(1-1) +"])
+    assert (code, out) == (1, "")
+    assert err == ("error=syntax\n"
+                   "position=9\n"
+                   "message=unexpected end of input (at position 9)\n")
+
+
+def test_eval_of_260_nested_divisions_by_negative_denominators():
+    # 1/(1/(...1/below(-1))) is -1 at every level; a reciprocal by a negative
+    # witness is one node, so each level takes two frames, the product and
+    # the reciprocal
+    assert sys.getrecursionlimit() <= 1000
+    text = "1/(" * 260 + "below(-1)" + ")" * 260
+    code, out, err = run_main(["eval", "--prec", "64", "--format", "rational", "--", text])
+    assert (code, err) == (0, "")
+    answer = dict(line.split("=", 1) for line in out.splitlines())
+    lo, hi = _exact(answer["lo"]), _exact(answer["hi"])
+    assert hi - lo == 2 * dyadic(64)
+    assert lo <= -1 <= hi

@@ -204,3 +204,42 @@ def test_walks_reject_what_is_not_a_node():
     for walk in (format_expr, build_real):
         with pytest.raises(TypeError, match="not an expression node: Fraction"):
             walk(node)
+
+
+def test_a_syntax_error_anywhere_comes_before_any_witness_search(monkeypatch):
+    # text is read whole before anything is built, so the failing division
+    # on the left is never searched
+    searched = []
+    monkeypatch.setattr(expressions, "find_apart_witness",
+                        lambda x, fuel: searched.append(x))
+    with pytest.raises(ParseError) as info:
+        build_real("1/(1-1) + )")
+    assert info.value.position == 10
+    assert searched == []
+    monkeypatch.undo()
+    with pytest.raises(WitnessSearchError):
+        build_real("1/(1-1) + 1")
+
+
+def test_witness_searches_run_left_before_right(monkeypatch):
+    seen = []
+    find_apart_witness = expressions.find_apart_witness
+    monkeypatch.setattr(expressions, "find_apart_witness",
+                        lambda x, fuel: seen.append(x) or find_apart_witness(x, fuel))
+    for expr in ("1/below(2) + 1/below(3)", parse("1/below(2) + 1/below(3)")):
+        seen.clear()
+        point = build_real(expr)
+        eps = dyadic(20)
+        assert [round(x.approximate(eps)) for x in seen] == [2, 3]
+        assert abs(point.approximate(eps) - Fraction(5, 6)) <= eps
+
+
+def test_a_non_node_fails_before_any_operand_is_built(monkeypatch):
+    # the AST is walked whole first, so the division left of the stray
+    # Fraction is never searched
+    monkeypatch.setattr(expressions, "find_apart_witness",
+                        lambda x, fuel: pytest.fail("searched a witness"))
+    node = Add(Div(RatLit(Fraction(1)), RatLit(Fraction(0))), Fraction(1))
+    with pytest.raises(TypeError, match="not an expression node: Fraction"):
+        build_real(node)
+

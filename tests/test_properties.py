@@ -5,7 +5,9 @@ division by literals >= 1, so every division finds its witness.  Literals are
 non-negative except inside below(...), as the parser makes them.  Garbled
 text, for the parser's error paths, is printed expressions with runs of
 tokens replaced, or the grammar's tokens in any order.  Signed sums of up
-to 60 terms are checked term by term against the exact sum.
+to 60 terms are checked term by term against the exact sum.  Building a real
+from text is checked against building it from the parsed AST, and the
+one-node |x| and reciprocal against the compositions they replaced.
 """
 
 import re
@@ -15,17 +17,18 @@ from io import StringIO
 
 from hypothesis import example, given, settings, strategies as st
 
-from cauchyreal import (PENDING, CompletionPoint, Done, add, build_real, dyadic,
-                        evaluate_enclosure, find_apart_witness, fires,
+from cauchyreal import (PENDING, CompletionPoint, Done, absolute, add, build_real,
+                        dyadic, evaluate_enclosure, find_apart_witness, fires,
                         format_expr, format_rat, from_below, from_rat, interleave,
                         is_positive, limit, lt_rat_semidecide, neg, parse,
-                        signed_sum, sub)
+                        recip_witnessed, signed_sum, sub)
 from cauchyreal.cli import cmd_eval, decimal_digits, format_decimal
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
                                     Neg, ParseError, RatLit, Sub)
 from cauchyreal.reals import _apart
 
-from oracles import eval_exact, full_scan_lt, linear_witness, parse as recursive_parse
+from oracles import (composed_absolute, composed_recip_witnessed, eval_exact, full_scan_lt,
+                     linear_witness, parse as recursive_parse)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None,
                              max_examples=100)
@@ -75,6 +78,48 @@ def test_enclosures_are_exact_width_and_contain_the_value(node):
 @given(expressions(5, divisors=_NATURALS))
 def test_printing_round_trips_parser_made_asts(node):
     assert parse(format_expr(node)) == node
+
+
+_BUILD_PRECISIONS = (0, 64, 300)
+
+
+def _same_build(text):
+    """build_real of the text and of its AST, fresh, answer alike."""
+    from_text, from_ast = build_real(text), build_real(parse(text))
+    for k in _BUILD_PRECISIONS:
+        assert from_text.approximate(dyadic(k)) == from_ast.approximate(dyadic(k))
+
+
+@PROPERTY_SETTINGS
+@given(expressions(5))
+def test_building_from_text_answers_as_building_from_the_ast(node):
+    _same_build(format_expr(node))
+
+
+@st.composite
+def mixed_chains(draw):
+    """Chains of + and - over a few shared printed subterms, some of them
+    sums, with chains nested as right operands and under other operations."""
+    pool = draw(st.lists(expressions(2).map(format_expr), min_size=1, max_size=3))
+
+    def chain():
+        terms = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()),
+                              min_size=1, max_size=8))
+        return terms[0][0] + "".join((" + " if plus else " - ") + term
+                                     for term, plus in terms[1:])
+
+    text = chain()
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        outer = draw(st.sampled_from(("%s + (%s)", "%s - (%s)", "(%s) * (%s)",
+                                      "max(%s, %s)", "-(%s) + %s")))
+        text = outer % (text, chain()) if draw(st.booleans()) else outer % (chain(), text)
+    return text
+
+
+@PROPERTY_SETTINGS
+@given(mixed_chains())
+def test_chains_build_from_text_as_from_the_ast(text):
+    _same_build(text)
 
 
 def _parsed(parse_text, text):
@@ -166,6 +211,31 @@ def test_witness_scan_agrees_with_the_linear_scan(node, offset, fuel):
     assert witness.gap <= abs(offset)
     assert reference.gap / 4 <= witness.gap <= 4 * reference.gap
     assert is_positive(fresh()).run(fuel) == Done(witness.positive)
+
+
+@PROPERTY_SETTINGS
+@given(expressions(4), _NEAR, st.lists(st.integers(min_value=0, max_value=300),
+                                       min_size=1, max_size=4))
+def test_one_node_abs_and_reciprocal_answer_as_their_compositions(node, offset, ks):
+    # fresh builds on each side, asked for coarse precisions after fine ones,
+    # so that memo reads by a shift are compared too
+    ks = sorted(ks, reverse=True)
+    q = eval_exact(node) + offset
+
+    def fresh():
+        return sub(build_real(node), from_rat(q))
+
+    pairs = [(absolute(build_real(node)), composed_absolute(build_real(node))),
+             (absolute(fresh()), composed_absolute(fresh()))]
+    witness = find_apart_witness(fresh(), 96)
+    if witness is not None:
+        pairs.append((recip_witnessed(fresh(), witness),
+                      composed_recip_witnessed(fresh(), witness)))
+    for one_node, composed in pairs:
+        assert one_node.exact == composed.exact
+        for k in ks:
+            assert one_node.scaled(k) == composed.scaled(k)
+            assert one_node.approximate(dyadic(k)) == composed.approximate(dyadic(k))
 
 
 def _opaque(x):

@@ -535,3 +535,24 @@ def test_dropped_points_need_no_cycle_collector():
     finally:
         gc.enable()
     assert after == before
+
+
+def test_below_never_reports_its_value_through_its_own_approximate():
+    # the first half of from_below's contract: approximate answers q - eps/2
+    # on a fresh point, or a finer memoised answer below q as well
+    precisions = (dyadic(0), dyadic(10), Fraction(1, 3), dyadic(300))
+    for q in (Fraction(1), Fraction(-2, 3), Fraction(5, 4)):
+        for eps in precisions:
+            assert from_below(q).approximate(eps) == q - eps / 2
+        x = from_below(q)
+        assert all(x.approximate(eps) < q for eps in precisions)
+
+
+def test_below_may_report_its_value_through_its_integer_answers():
+    # the second half: scaled rounds onto the grid, which holds q itself when
+    # q is a grid point, and operations reading scaled pass that on
+    for k in (0, 1, 10, 300):
+        assert from_below(1).scaled(k) == 2 ** k
+        assert from_below(Fraction(-3, 4)).scaled(k + 2) == -3 << k
+    assert build_real(parse("below(1) * 1")).approximate(dyadic(10)) == 1
+    assert build_real("below(1) * 1").approximate(dyadic(10)) == 1
