@@ -3,10 +3,13 @@
 Output is line-oriented key=value pairs on stdout; errors go to stderr in the
 same shape.  Exit codes: 0 for a computed verdict (including unknown), 1 for
 input that does not parse, a bad command line (such as a negative --prec,
---fuel or --witness-fuel) or a stdout closed before the answer was written,
-2 for a division that cannot certify its denominator apart from zero.  A
-usage error caused by an expression with a leading minus, which argparse
-takes for a flag, ends with a hint= line.
+--fuel or --witness-fuel), a stdout closed before the answer was written or
+a computation that ran out of memory (error=memory, such as at a --prec or
+--fuel too large to hold its integers), 2 for a division that cannot
+certify its denominator apart from zero.  A syntax error in any operand
+comes before every witness search.  A usage error caused by an expression
+with a leading minus, which argparse takes for a flag, ends with a hint=
+line.
 """
 
 import argparse
@@ -20,7 +23,7 @@ from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, DivisionByZero,
                      Inexact, InvalidOperation, Overflow)
 from fractions import Fraction
 
-from .expressions import ParseError, WitnessSearchError, build_real
+from .expressions import ParseError, WitnessSearchError, _build, _postfix, build_real
 from .partiality import PENDING
 from .rational import dyadic, dyadic_rat, format_int
 from .reals import compare_partial, is_positive
@@ -254,8 +257,11 @@ def cmd_sign(expr, fuel, witness_fuel, out):
 
 def cmd_compare(a, b, fuel, witness_fuel, out):
     witness_fuel = _witness_fuel(witness_fuel, fuel)
-    x = build_real(a, witness_fuel)
-    y = build_real(b, witness_fuel)
+    # Both texts are read before either is built, so a syntax error in
+    # either comes before every witness search.
+    order_a, order_b = _postfix(a), _postfix(b)
+    x = _build(order_a, witness_fuel)
+    y = _build(order_b, witness_fuel)
     # One scan decides both orientations: the sign of y - x.
     return _write_verdict(out, compare_partial(x, y).run(fuel), fuel, "lt", "gt")
 
@@ -299,6 +305,10 @@ def main(argv=None, out=None, err=None):
         err.write("fuel=%d\n" % exc.fuel)
         err.write("message=%s\n" % exc)
         return EXIT_WITNESS
+    except MemoryError:
+        err.write("error=memory\n")
+        err.write("message=out of memory; try a smaller --prec or --fuel\n")
+        return EXIT_SYNTAX
 
 
 def console_main():

@@ -250,7 +250,9 @@ def close_semidecide(eps, x, y):
     close(eps - 2d, x(d), y(d)).  Acceptance at any stage certifies
     closeness; every strictly eps-close pair has a stage fine enough to see
     the slack, and a pair at distance exactly eps or more never fires.
-    The scan is countable_sup's full one, for the reason given there.
+    The stages are not monotone, so the scan is countable_sup's full prefix
+    scan: monotone_sup's scan of the prefix joins, which makes each stage
+    once (see countable_sup for why).
     """
     space = x.space
 

@@ -407,7 +407,12 @@ def build_real(expr, witness_fuel=64):
 
     Left operands, and so their witness searches, are built first.
     """
-    order = _postfix(expr) if isinstance(expr, str) else _postorder(expr)
+    return _build(_postfix(expr) if isinstance(expr, str) else _postorder(expr),
+                  witness_fuel)
+
+
+def _build(order, witness_fuel):
+    """The real of a postfix order, as build_real describes it."""
     shared = {}
 
     def leaf(cls, q):

@@ -140,62 +140,6 @@ def join_sier(a, b):
     return _FromStep(step)
 
 
-class _CountableSup(Partial):
-    """Fires at fuel n iff some stage f(m) with m <= n is Done at fuel n.
-
-    This is the general scan: the stages are arbitrary semi-decisions, not
-    monotone, so every stage up to n is polled.
-    close_semidecide runs on it because its stages are not monotone: its
-    threshold has no margin, so a firing stage does not make the finer ones
-    fire, and closeness on nested carriers is a one-sided, fuel-bounded test.
-    Joining the prefix of stages restores monotonicity, so f need not be
-    increasing.  Stages are instantiated lazily and classified once:
-    constant stages (now / never) are never re-polled, the scan stops at the
-    first stage that is already Done, and the least fuel known to fire is
-    cached, so repeated runs at growing fuel only pay for the indices not
-    seen before.  A lock keeps concurrent runs consistent.
-    """
-
-    __slots__ = ("_f", "_lock", "_next", "_fired_at", "_live")
-
-    def __init__(self, f):
-        self._f = f
-        self._lock = threading.Lock()
-        self._next = 0          # first stage index not yet instantiated
-        self._fired_at = None   # least fuel known to produce Done
-        self._live = []         # (index, stage) with fuel-dependent outcomes
-
-    def run(self, fuel):
-        with self._lock:
-            if self._fired_at is not None and fuel >= self._fired_at:
-                return Done(STAR)
-            while self._next <= fuel:
-                m = self._next
-                self._next += 1
-                stage = self._f(m)
-                if isinstance(stage, _Now):
-                    # m <= fuel < any fuel known to fire, so m is the least
-                    self._fired_at = m
-                    return Done(STAR)
-                if not isinstance(stage, _Never):
-                    self._live.append((m, stage))
-            for m, stage in self._live:
-                if m <= fuel and stage.run(fuel) is not PENDING:
-                    if self._fired_at is None or fuel < self._fired_at:
-                        self._fired_at = fuel
-                    return Done(STAR)
-            return PENDING
-
-
-def countable_sup(f):
-    """Semi-decide an existential over countably many semi-decisions.
-
-    f maps a stage index to a Sier; the result is Done(STAR) at fuel n iff
-    some f(m) with m <= n is Done at fuel n.
-    """
-    return _CountableSup(f)
-
-
 class _MonotoneSup(Partial):
     """The least firing stage of monotone stages: each stage is now(value)
     or never(), and if stage m fires, so does stage m + 1.
@@ -212,10 +156,15 @@ class _MonotoneSup(Partial):
 
     _fired_at is that stage, and a run at lower fuel stays pending, as the
     run that fired found; _pending is the greatest stage up to which all are
-    known pending, which a run pending at fuel n raises to n, so a loop of
-    growing fuel polls one new stage per run.  Stages may read state that
-    other work refines (a point's memo), so repeated runs can differ from
-    the full scan's; they stay sound and monotone in fuel.
+    known pending, which a run pending at fuel n raises to n.  A run starts
+    at the first coarse stage above it, so a loop of growing fuel polls one
+    new stage per run, at O(1) cost.  Stages may read state that other work
+    refines (a point's memo), so repeated runs can differ from the full
+    scan's; they stay sound and monotone in fuel.
+
+    This is the one scan engine.  Arbitrary stages are not monotone, but
+    their prefix joins are: countable_sup is this scan of those joins, and
+    makes each stage once.
     """
 
     __slots__ = ("_f", "_lock", "_fired_at", "_outcome", "_pending")
@@ -232,7 +181,8 @@ class _MonotoneSup(Partial):
             if self._fired_at is not None:
                 return self._outcome if fuel >= self._fired_at else PENDING
             lo, hi = self._pending + 1, None   # no stage below lo fires
-            t = 0
+            # the first coarse stage not known to be pending
+            t = min(1 << (lo - 1).bit_length(), fuel) if lo else 0
             while t <= fuel and (hi is None or lo < hi):
                 if t >= lo:
                     stage = self._f(t)
@@ -255,6 +205,42 @@ def monotone_sup(f):
     or never() (see _MonotoneSup): Done(value) of the least stage m <= n
     that fires, polling O(log n) stages at fuel n."""
     return _MonotoneSup(f)
+
+
+def countable_sup(f):
+    """Semi-decide an existential over countably many semi-decisions.
+
+    f maps a stage index to a Sier; the result is Done(STAR) at fuel n iff
+    some f(m) with m <= n is Done at fuel n.
+
+    This is the full prefix scan, for arbitrary stages.  close_semidecide
+    runs on it because its stages are not monotone: its threshold has no
+    margin, so a firing stage does not make the finer ones fire, and
+    closeness on nested carriers is a one-sided, fuel-bounded test.  The
+    prefix join of stages 0..n at fuel n is monotone in n all the same, as
+    each stage is monotone in fuel, so it is monotone_sup's scan of those
+    joins.  Each f(m) is made once, in order, and no further than the first
+    stage that is Done; stages that are never() are not polled again.
+    """
+    live = []   # (m, f(m)) for each stage made so far that is not never()
+    made = 0    # stages f(0) .. f(made - 1) are made
+
+    def prefix(n):
+        # Run only under the scan's lock, so this state needs none.
+        nonlocal made
+        for m, stage in live:
+            if m <= n and stage.run(n) is not PENDING:
+                return TOP
+        while made <= n:
+            stage = f(made)
+            made += 1
+            if stage is not _NEVER:
+                live.append((made - 1, stage))
+                if stage.run(n) is not PENDING:
+                    return TOP
+        return _NEVER
+
+    return monotone_sup(prefix)
 
 
 def interleave(a, b):

@@ -10,12 +10,14 @@ one-node rules that replaced them must answer bit for bit as they did.
 """
 
 import math
+import threading
 
 from fractions import Fraction
 
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
                                     Neg, ParseError, RatLit, Sub, tokenize)
-from cauchyreal.partiality import TOP, countable_sup, never
+from cauchyreal.partiality import (PENDING, STAR, TOP, Done, Partial, _Never, _Now,
+                                   never)
 from cauchyreal.rational import dyadic
 from cauchyreal.reals import ApartnessWitness, join, neg, recip_witnessed
 
@@ -121,6 +123,62 @@ def ceil_log2(q):
     return k if Fraction(2) ** k == q else k + 1
 
 
+# The full prefix scan as its own engine, with its own lock and stage cache:
+# the reference that partiality.monotone_sup's scans are checked against,
+# countable_sup's among them.
+class _CountableSup(Partial):
+    """Fires at fuel n iff some stage f(m) with m <= n is Done at fuel n.
+
+    This is the general scan: the stages are arbitrary semi-decisions, not
+    monotone, so every stage up to n is polled.
+    close_semidecide's stages are of that kind: its threshold has no margin,
+    so a firing stage does not make the finer ones fire, and closeness on
+    nested carriers is a one-sided, fuel-bounded test.
+    Joining the prefix of stages restores monotonicity, so f need not be
+    increasing.  Stages are instantiated lazily and classified once:
+    constant stages (now / never) are never re-polled, the scan stops at the
+    first stage that is already Done, and the least fuel known to fire is
+    cached, so repeated runs at growing fuel only pay for the indices not
+    seen before.  A lock keeps concurrent runs consistent.
+    """
+
+    __slots__ = ("_f", "_lock", "_next", "_fired_at", "_live")
+
+    def __init__(self, f):
+        self._f = f
+        self._lock = threading.Lock()
+        self._next = 0          # first stage index not yet instantiated
+        self._fired_at = None   # least fuel known to produce Done
+        self._live = []         # (index, stage) with fuel-dependent outcomes
+
+    def run(self, fuel):
+        with self._lock:
+            if self._fired_at is not None and fuel >= self._fired_at:
+                return Done(STAR)
+            while self._next <= fuel:
+                m = self._next
+                self._next += 1
+                stage = self._f(m)
+                if isinstance(stage, _Now):
+                    # m <= fuel < any fuel known to fire, so m is the least
+                    self._fired_at = m
+                    return Done(STAR)
+                if not isinstance(stage, _Never):
+                    self._live.append((m, stage))
+            for m, stage in self._live:
+                if m <= fuel and stage.run(fuel) is not PENDING:
+                    if self._fired_at is None or fuel < self._fired_at:
+                        self._fired_at = fuel
+                    return Done(STAR)
+            return PENDING
+
+
+def full_prefix_scan(f):
+    """countable_sup's outcomes by a separate engine: Done(STAR) at fuel n iff
+    some f(m) with m <= n is Done at fuel n."""
+    return _CountableSup(f)
+
+
 def full_scan_lt(x, q):
     """x < q semi-decided by the stage rule of lt_rat_semidecide as a full
     prefix scan: at fuel n, every stage m <= n is polled until one fires."""
@@ -128,7 +186,7 @@ def full_scan_lt(x, q):
         d = dyadic(k)
         return TOP if x.approximate(d) < q - 2 * d else never()
 
-    return countable_sup(stage)
+    return full_prefix_scan(stage)
 
 
 def linear_witness(x, fuel):

@@ -481,6 +481,35 @@ def test_a_syntax_error_beats_a_failing_division():
                    "message=unexpected end of input (at position 9)\n")
 
 
+@pytest.mark.parametrize("bad", ["1+", ")"])
+def test_a_syntax_error_in_either_operand_beats_a_failing_division(bad):
+    # both texts parse before the witness search of either would fail
+    position = len(bad) if bad == "1+" else 0
+    message = ("unexpected end of input" if bad == "1+"
+               else "unexpected token ')'")
+    expected = (1, "", "error=syntax\nposition=%d\nmessage=%s (at position %d)\n"
+                % (position, message, position))
+    assert run_main(["compare", "--", "1/(1-1)", bad]) == expected
+    assert run_main(["compare", "--", bad, "1/(1-1)"]) == expected
+
+
+@pytest.mark.parametrize("argv, builder", [
+    (["eval", "--prec", "9223372036854775808", "--", "1"], "build_real"),
+    (["sign", "--fuel", "9223372036854775808", "--", "below(1)-1"], "build_real"),
+    (["compare", "--fuel", "1099511627776", "--", "below(1)", "1"], "_build"),
+])
+def test_running_out_of_memory_reports_an_error(monkeypatch, argv, builder):
+    # a stand-in for the allocation that fails, so no test allocates for real
+    def fail(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, builder, fail)
+    code, out, err = run_main(argv)
+    assert (code, out) == (1, "")
+    assert err == ("error=memory\n"
+                   "message=out of memory; try a smaller --prec or --fuel\n")
+
+
 def test_eval_of_260_nested_divisions_by_negative_denominators():
     # 1/(1/(...1/below(-1))) is -1 at every level; a reciprocal by a negative
     # witness is one node, so each level takes two frames, the product and

@@ -1,9 +1,17 @@
 import random
+import sys
+import threading
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from cauchyreal import (Done, PENDING, STAR, TOP, countable_sup, fires,
-                        interleave, join_sier, map_partial, never, now,
-                        sup_seq)
+                        from_rat, interleave, is_positive, join_sier,
+                        map_partial, never, now, sup_seq)
 from cauchyreal.partiality import monotone_sup
+
+from oracles import full_prefix_scan
 
 
 def delayed(k, value=STAR):
@@ -243,3 +251,91 @@ def test_monotone_sup_keeps_its_outcome():
     polls.clear()
     assert s.run(10 ** 6) == Done(37)
     assert polls == []
+
+
+def test_monotone_sup_at_growing_fuel_polls_only_the_new_stage():
+    polls = []
+    s = monotone_sup(_monotone_stages(10 ** 6, polls))
+    for fuel in range(201):
+        polls.clear()
+        assert s.run(fuel) is PENDING
+        assert polls == [fuel]
+
+
+def test_countable_sup_at_growing_fuel_makes_one_stage_per_run():
+    made = []
+
+    def stage(m):
+        made.append(m)
+        return never()
+
+    s = countable_sup(stage)
+    for fuel in range(201):
+        assert s.run(fuel) is PENDING
+        assert made == list(range(fuel + 1))
+
+
+def _stage_table(table, made):
+    # None is never(), "top" is TOP and k is a stage that fires at fuel k;
+    # indices past the table are never()
+    def stage(m):
+        made.append(m)
+        entry = table[m] if m < len(table) else None
+        if entry is None:
+            return never()
+        return TOP if entry == "top" else delayed(entry)
+
+    return stage
+
+
+_FUELS = list(range(97))
+_ENTRIES = st.one_of(st.none(), st.none(), st.just("top"),
+                     st.integers(min_value=0, max_value=120))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.lists(_ENTRIES, max_size=100),
+       st.one_of(st.just(_FUELS), st.just(_FUELS[::-1]), st.permutations(_FUELS)))
+def test_countable_sup_gives_the_full_scan_outcome(table, fuels):
+    made = []
+    s = countable_sup(_stage_table(table, made))
+    reference = full_prefix_scan(_stage_table(table, []))
+    for n in fuels:
+        assert s.run(n) == reference.run(n)
+    assert len(made) == len(set(made))
+
+
+def test_scans_shared_across_threads():
+    # Four threads run one countable_sup and one is_positive at shuffled
+    # fuels; every answer is the single-threaded one, and each stage of the
+    # countable_sup is made once.
+    table = [None, None, 40, None, None, 25] + [None] * 30 + ["top"]
+    x = from_rat(Fraction(-3, 2 ** 20))
+    fuels = list(range(97))
+    expected = [(countable_sup(_stage_table(table, [])).run(n),
+                 is_positive(x).run(n)) for n in fuels]
+    made = []
+    shared = countable_sup(_stage_table(table, made)), is_positive(x)
+    barrier = threading.Barrier(4, timeout=30)
+    results = {}
+
+    def work(seed):
+        order = fuels[:]
+        random.Random(seed).shuffle(order)
+        barrier.wait()
+        results[seed] = {n: tuple(p.run(n) for p in shared) for n in order}
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for seed in range(4):
+        assert [results[seed][n] for n in fuels] == expected
+    assert sorted(made) == list(range(len(made)))

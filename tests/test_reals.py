@@ -7,13 +7,14 @@ import pytest
 
 from cauchyreal import (ONE, PENDING, STAR, TOP, ZERO, ApartnessWitness,
                         CompletionPoint, Done, absolute, add, bound,
-                        build_real, clamp, compare_partial, countable_sup,
-                        dyadic, eta, find_apart_witness, fires, from_below,
+                        build_real, clamp, compare_partial, dyadic, eta,
+                        find_apart_witness, fires, from_below,
                         from_rat, is_positive, join, join_sier, limit,
                         lt_rat_semidecide, meet, mul, neg, never, parse,
                         recip_witnessed, scale, sub)
 
-from oracles import first_k_with_margin, full_scan_lt, linear_witness
+from oracles import (first_k_with_margin, full_prefix_scan, full_scan_lt,
+                     linear_witness)
 
 
 def below(q):
@@ -319,8 +320,8 @@ def test_lt_rat_polls_the_stage_before_the_last():
         return CompletionPoint(lambda eps: dyadic(12), scaled=scaled)
 
     def full_scan(x):
-        return countable_sup(lambda k: TOP if (x.scaled(k) + 2) * dyadic(k) < q
-                             else never())
+        return full_prefix_scan(lambda k: TOP if (x.scaled(k) + 2) * dyadic(k) < q
+                                else never())
 
     assert [full_scan(wobbling([])).run(n) for n in (9, 10)] == [PENDING, Done(STAR)]
     polls = []
