@@ -7,9 +7,10 @@ input that does not parse, a bad command line (such as a negative --prec,
 a computation that ran out of memory (error=memory, such as at a --prec or
 --fuel too large to hold its integers), 2 for a division that cannot
 certify its denominator apart from zero.  A syntax error in any operand
-comes before every witness search.  A usage error caused by an expression
-with a leading minus, which argparse takes for a flag, ends with a hint=
-line.
+comes before every witness search; in compare, an operand=a or operand=b
+line after error=syntax says which operand it is in.  A usage error caused
+by an expression with a leading minus, which argparse takes for a flag,
+ends with a hint= line.
 """
 
 import argparse
@@ -258,10 +259,17 @@ def cmd_sign(expr, fuel, witness_fuel, out):
 def cmd_compare(a, b, fuel, witness_fuel, out):
     witness_fuel = _witness_fuel(witness_fuel, fuel)
     # Both texts are read before either is built, so a syntax error in
-    # either comes before every witness search.
-    order_a, order_b = _postfix(a), _postfix(b)
-    x = _build(order_a, witness_fuel)
-    y = _build(order_b, witness_fuel)
+    # either comes before every witness search.  The error is tagged with
+    # its operand's name in the usage, for main's report.
+    orders = []
+    for name, text in (("a", a), ("b", b)):
+        try:
+            orders.append(_postfix(text))
+        except ParseError as exc:
+            exc.operand = name
+            raise
+    x = _build(orders[0], witness_fuel)
+    y = _build(orders[1], witness_fuel)
     # One scan decides both orientations: the sign of y - x.
     return _write_verdict(out, compare_partial(x, y).run(fuel), fuel, "lt", "gt")
 
@@ -297,6 +305,8 @@ def main(argv=None, out=None, err=None):
         return cmd_compare(args.a, args.b, args.fuel, args.witness_fuel, out)
     except ParseError as exc:
         err.write("error=syntax\n")
+        if args.command == "compare":
+            err.write("operand=%s\n" % exc.operand)
         err.write("position=%d\n" % exc.position)
         err.write("message=%s\n" % exc)
         return EXIT_SYNTAX

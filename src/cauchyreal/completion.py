@@ -232,6 +232,24 @@ def _operation(exact, combine, *operands):
     return point
 
 
+def _at_one(x):
+    """x(1), the approximant approximate(1) answers, as an integer pair
+    (n, d) with d > 0, not always in lowest terms.
+
+    It takes approximate(1)'s route without its Fractions: an exact point
+    gives its rational, an opaque one its approximant at 1, and an integer
+    one its memo (j, m) as it stands, (m, 2**j), or scaled(0) with no memo.
+    Like approximate, it fills the memo it reads from.
+    """
+    if x.exact is None and x._approx is None:
+        memo = x._memo
+        if memo is None:
+            return x.scaled(0), 1
+        return memo[1], 1 << memo[0]
+    q = x.approximate(_ONE)
+    return q.numerator, q.denominator
+
+
 def limit(x):
     """The point a Cauchy approximation by points converges to.
 

@@ -1,18 +1,20 @@
 """Expression front end: AST, tokenizer, parser, printer, and evaluation of
 an expression, or of its text, into a real.
 
-Text becomes tokens, and the tokens one postfix order: a (class, rational)
-pair for each literal and below(...), and each operation's node class after
-its operands.  A shunting-yard loop makes that order, with pending operators
-and open frames on an explicit stack, and one post-order walk, also on an
-explicit stack, makes the same order from an AST.  parse, format_expr and
-build_real are three folds of the order on a stack of results: AST nodes,
-text and reals.  So parsing, printing and building have no depth limit, and
-building from text makes no AST.  build_real makes a chain of + and - one
-signed sum of all its terms, so a sum of any length evaluates in one frame.
-Approximating other nesting still recurses, one frame per level
-(CompletionPoint.scaled reads an operation's operands), so about 990 levels
-of it evaluate at the default recursion limit.
+Text becomes tokens, and the tokens one postfix order: a triple (class,
+numerator, denominator) for each literal and below(...), its integers in
+lowest terms, and each operation's node class after its operands.  A
+shunting-yard loop makes that order, with pending operators and open frames
+on an explicit stack, and one post-order walk, also on an explicit stack,
+makes the same order from an AST.  parse, format_expr and build_real are
+three folds of the order on a stack of results: AST nodes, text and reals.
+So parsing, printing and building have no depth limit, and building from
+text makes no AST.  A literal's triple is build_real's key for sharing it,
+so a Fraction is made only for the first leaf of each value.  build_real
+makes a chain of + and - one signed sum of all its terms, so a sum of any
+length evaluates in one frame.  Approximating other nesting still recurses,
+one frame per level (CompletionPoint.scaled reads an operation's operands),
+so about 990 levels of it evaluate at the default recursion limit.
 
 Grammar, loosest binding first:
 
@@ -38,9 +40,10 @@ import re
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from string import ascii_letters, digits
 
-from .rational import format_rat, parse_int
+from .rational import _coprime, format_rat, parse_int
 from .reals import (absolute, add, find_apart_witness, from_below, from_rat,
                     join, meet, mul, neg, recip_witnessed, signed_sum, sub)
 
@@ -180,17 +183,20 @@ def _fail(text, tok):
 
 
 def _literal(text, tokens, i):
-    """The number at tokens[i] as a Fraction, and the index after it.
-    integer/integer folds into one rational, for nonzero denominators only:
-    p/0 stays a division and fails at evaluation."""
+    """The number at tokens[i] as a pair (numerator, denominator) in lowest
+    terms, and the index after it.  integer/integer folds into one rational,
+    for nonzero denominators only: p/0 stays a division and fails at
+    evaluation."""
     kind, value, _ = tokens[i]
     if kind == "int":
         if tokens[i + 1][1] == "/" and tokens[i + 2][0] == "int" and tokens[i + 2][1]:
-            return Fraction(value, tokens[i + 2][1]), i + 3
-        return Fraction(value), i + 1
+            d = tokens[i + 2][1]
+            g = gcd(value, d)
+            return value // g, d // g, i + 3
+        return value, 1, i + 1
     if kind != "dec":
         _fail(text, tokens[i])
-    return value, i + 1
+    return value.numerator, value.denominator, i + 1
 
 
 # Only 'sym' tokens carry a str of punctuation, so the parser tells symbols
@@ -204,9 +210,10 @@ _FUNCTIONS = {"max": (0, Max, ","), "min": (0, Min, ","), "abs": (0, Abs, ")")}
 
 
 def _postfix(text):
-    """The postfix order of an expression's text: a (class, rational) pair
-    for each literal and below(...), and each operation's node class after
-    its operands.  Raises ParseError with a position on bad input.
+    """The postfix order of an expression's text: a triple (class,
+    numerator, denominator), in lowest terms, for each literal and
+    below(...), and each operation's node class after its operands.
+    Raises ParseError with a position on bad input.
 
     The order, and the failing token and message, are the grammar's
     recursive descent's: an operator leaves the pending stack when the next
@@ -241,14 +248,14 @@ def _postfix(text):
             negative = tokens[i][1] == "-"
             if negative:
                 i += 1
-            q, i = _literal(text, tokens, i)
+            n, d, i = _literal(text, tokens, i)
             if tokens[i][1] != ")":
                 _fail(text, tokens[i])
             i += 1
-            order.append((FromBelow, -q if negative else q))
+            order.append((FromBelow, -n if negative else n, d))
         else:
-            q, i = _literal(text, tokens, i)
-            order.append((RatLit, q))
+            n, d, i = _literal(text, tokens, i)
+            order.append((RatLit, n, d))
         # An operand is done: apply its prefix minuses, then reduce what the
         # next token closes, until that token needs another operand.  Once
         # the minuses are applied no Neg is on top, and none ever lies right
@@ -302,14 +309,16 @@ def _postorder(node):
         elif isinstance(node, _Unary):
             todo += (type(node), _DONE, node.operand)
         else:
-            order.append((type(node), node.value))
+            q = node.value
+            order.append((type(node), q.numerator, q.denominator))
     return order
 
 
 def _fold(order, leaf, operation):
-    """Reduce a postfix order on a stack of results: leaf(cls, q) for each
-    literal, and operation(cls, *results) of each operation's operands.
-    Results are made left to right, so a left operand's before a right."""
+    """Reduce a postfix order on a stack of results: leaf(cls, n, d) for
+    each literal n/d, and operation(cls, *results) of each operation's
+    operands.  Results are made left to right, so a left operand's before a
+    right."""
     results = []
     for item in order:
         if type(item) is tuple:
@@ -326,10 +335,14 @@ def _node(cls, *operands):
     return cls(*operands)
 
 
+def _node_leaf(cls, n, d):
+    return cls(_coprime(n, d))
+
+
 def parse(text):
     """Parse an expression into its AST; raises ParseError with a position
     on bad input."""
-    return _fold(_postfix(text), _node, _node)
+    return _fold(_postfix(text), _node_leaf, _node)
 
 
 def _divide(numer, denom, witness_fuel):
@@ -361,8 +374,8 @@ _NODES = {
 _SIGNS = {Add: True, Sub: False}
 
 
-def _print_leaf(cls, q):
-    return _NODES[cls][0] % format_rat(q)
+def _print_leaf(cls, n, d):
+    return _NODES[cls][0] % format_rat(_coprime(n, d))
 
 
 def _print_operation(cls, *texts):
@@ -402,8 +415,9 @@ def build_real(expr, witness_fuel=64):
     leaf's (class, numerator, denominator), an operation's (class, ids of
     its operands' reals) and a chain's (signs, ids of its terms' reals) to
     the real built for it; it holds every real whose id it uses, so no id
-    is reused while it lives.  A key costs O(1) per node, where hashing the
-    AST would cost its size.
+    is reused while it lives.  A leaf's key is its triple in the postfix
+    order, and its Fraction is made only when the key is new.  A key costs
+    O(1) per node, where hashing the AST would cost its size.
 
     Left operands, and so their witness searches, are built first.
     """
@@ -415,11 +429,11 @@ def _build(order, witness_fuel):
     """The real of a postfix order, as build_real describes it."""
     shared = {}
 
-    def leaf(cls, q):
-        key = (cls, q.numerator, q.denominator)
+    def leaf(*key):
         real = shared.get(key)
         if real is None:
-            real = shared[key] = _NODES[cls][1](q)
+            cls, n, d = key
+            real = shared[key] = _NODES[cls][1](_coprime(n, d))
         return real
 
     def built(cls, *operands):

@@ -22,6 +22,10 @@ k + e + 1 and their errors together stay under 2**-(k+1).  add and sub are
 its two-term case, at k + 2.
 Lipschitz constants, bounds and gaps are rounded to powers of two once, when
 the node is built, so every rounding is a shift or one integer division.
+A product's bounds are read on integers too: each operand's approximant at
+1 is an integer pair, an integer point's being its memo (j, m) as it
+stands, m / 2**j, so building a product makes no Fraction.  Reading a
+bound fills a memo, so mul fixes the order of its two reads.
 
 Order on the reals is semi-decidable, not decidable: a strict inequality can
 be confirmed in finite fuel, equality can only stay pending forever.  The
@@ -44,13 +48,12 @@ requested precision, four times for the last one):
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .completion import CompletionPoint, _operation, eta
+from .completion import CompletionPoint, _at_one, _operation, eta
 from .partiality import PENDING, TOP, map_partial, monotone_sup, never, now
 from .rational import QPos, ceil_log2, dyadic, round_div
 
 CReal = CompletionPoint
 
-_ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
@@ -193,9 +196,23 @@ def bound(x):
     """A rational strictly greater than |x|: |x(1)| + 2.
 
     The approximant is within 1 of x, so |x| < |x(1)| + 1 < the bound, with a
-    unit of slack to spare.
+    unit of slack to spare.  x(1) is read as approximate(1) reads it, on an
+    integer pair (completion._at_one): an exact point's rational, an opaque
+    point's approximant at 1, and an integer point's memo (j, m) as it
+    stands, m / 2**j, or its answer at k = 0 when it has none.  mul reads
+    the same pair and makes no Fraction of it.
     """
-    return QPos(abs(x.approximate(_ONE)) + 2)
+    return QPos(*_bound_pair(x))
+
+
+def _bound_pair(x, given=None):
+    """bound(x), or the given bound, as an integer pair (numerator,
+    denominator)."""
+    if given is not None:
+        b = QPos(given)
+        return b.numerator, b.denominator
+    n, d = _at_one(x)
+    return abs(n) + 2 * d, d
 
 
 def mul(x, y, x_bound=None, y_bound=None):
@@ -223,15 +240,23 @@ def mul(x, y, x_bound=None, y_bound=None):
     only orders the two operands of one product: a shared point whose first
     request is not its finest computes again for each finer one.
 
+    The default bounds are bound(y) and bound(x), read in that order on
+    integers: |n| + 2d over d for the operand's approximant n/d at 1.
+    A read fills the operand's memo when it has none, and an integer
+    point's approximant at 1 is its memo as it stands, so when x and y
+    share points the order of the reads decides the bounds.  In Horner's
+    rule p*t + c, x is p and y is t, and p is built on t: reading x first
+    would refine t's memo before y is read, which can raise y's bound and
+    the offsets.  The product would still be valid, but its answers need
+    not round the same way.
+
     Custom bounds must genuinely bound the operands; any valid choice denotes
     the same real.
     """
     if x.exact is not None and y.exact is not None:
         return from_rat(x.exact * y.exact)
-    a = QPos(y_bound) if y_bound is not None else bound(y)
-    b = QPos(x_bound) if x_bound is not None else bound(x)
-    ea = ceil_log2(a.numerator, a.denominator)
-    eb = ceil_log2(b.numerator, b.denominator)
+    ea = ceil_log2(*_bound_pair(y, y_bound))
+    eb = ceil_log2(*_bound_pair(x, x_bound))
 
     def combine(k, u, v):
         clip = 1 << (k + ea + eb + 2)
@@ -272,9 +297,9 @@ def recip_witnessed(x, witness):
     through negation, 1/x = -(1/(-x)), in the same node: with s the sign,
     s * u is floored and the quotient multiplied by s.
     """
-    gap = QPos(witness.gap)
     if x.exact is not None:
         return from_rat(1 / x.exact)
+    gap = witness.gap
     g = ceil_log2(gap.denominator, gap.numerator)
     s = 1 if witness.positive else -1
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -82,12 +83,14 @@ def test_compare_verdicts():
 
 
 def test_syntax_error_exit_code_and_report():
-    code, out, err = run_main(["eval", "1 + * 2"])
-    assert code == 1
-    assert out == ""
-    assert err == ("error=syntax\n"
-                   "position=4\n"
-                   "message=unexpected token '*' (at position 4)\n")
+    # eval and sign take one expression, so their reports name no operand
+    for command in ("eval", "sign"):
+        code, out, err = run_main([command, "1 + * 2"])
+        assert code == 1
+        assert out == ""
+        assert err == ("error=syntax\n"
+                       "position=4\n"
+                       "message=unexpected token '*' (at position 4)\n")
     # only ASCII digits make numbers
     for text, position in (("2\u00b2", 1), ("\u0661\u0662", 0)):
         code, out, err = run_main(["eval", text])
@@ -483,14 +486,16 @@ def test_a_syntax_error_beats_a_failing_division():
 
 @pytest.mark.parametrize("bad", ["1+", ")"])
 def test_a_syntax_error_in_either_operand_beats_a_failing_division(bad):
-    # both texts parse before the witness search of either would fail
+    # both texts parse before the witness search of either would fail, and
+    # the report names the operand the error is in
     position = len(bad) if bad == "1+" else 0
     message = ("unexpected end of input" if bad == "1+"
                else "unexpected token ')'")
-    expected = (1, "", "error=syntax\nposition=%d\nmessage=%s (at position %d)\n"
-                % (position, message, position))
-    assert run_main(["compare", "--", "1/(1-1)", bad]) == expected
-    assert run_main(["compare", "--", bad, "1/(1-1)"]) == expected
+    report = "position=%d\nmessage=%s (at position %d)\n" % (position, message, position)
+    assert run_main(["compare", "--", "1/(1-1)", bad]) == (
+        1, "", "error=syntax\noperand=b\n" + report)
+    assert run_main(["compare", "--", bad, "1/(1-1)"]) == (
+        1, "", "error=syntax\noperand=a\n" + report)
 
 
 @pytest.mark.parametrize("argv, builder", [
@@ -508,6 +513,34 @@ def test_running_out_of_memory_reports_an_error(monkeypatch, argv, builder):
     assert (code, out) == (1, "")
     assert err == ("error=memory\n"
                    "message=out of memory; try a smaller --prec or --fuel\n")
+
+
+# The sha256 of eval's stdout for criterion 12's polynomial at an exact
+# point, a below() point and a reciprocal, at each --prec: the bounds and
+# precision offsets of the products decide every byte.
+_HORNER_POINTS = {"exact": "5/7", "below": "below(5/7)", "recip": "1/(3 + below(0))"}
+_HORNER_SHA256 = {
+    ("exact", 0): "6d575b592553ab744b5d7ff6135cd456e6799cc80de97013d7100b819665db21",
+    ("exact", 64): "3422c2a2c1d0ee57e2899850e9229be249fc17eb39d76296d03cab5b87219430",
+    ("exact", 1000): "9faaf4d32d43adaba0eac47fbdf3db330bd4797a868106e2b0ed622e3e865d6d",
+    ("exact", 16000): "d244ae51f514404dc9f0218b7e4c861bf2cbc74ae9f2ece01b6a2dfc3f639270",
+    ("below", 0): "83b402f5c1c45e284c753beaffe5c95fcb818043701f854248cb2968d9b8a9c7",
+    ("below", 64): "60b3d578f16b64d74a1e9232ce446e695fca1c80522dca16e3ad2dc099152ee2",
+    ("below", 1000): "41eb8dd8c4d17e5b028ab088b698b843c3d285d9d03ba486475c77341525a0ac",
+    ("below", 16000): "1ec076a8eea96fdf46986655f4767f95b97a08641ff0617ca3df7605f208301a",
+    ("recip", 0): "c1c5e369ccb089fa6c01717003c15a7c83e89680ba41e9ea50ec9b97b9f6586f",
+    ("recip", 64): "001821a67e2af8f82b1e206f2c649add42160f5f520095b79c6d555fff14a606",
+    ("recip", 1000): "e2c9c739361adfb9c150ecd3a23f227990c12f578179764a7a99d644798d8986",
+    ("recip", 16000): "a6d5002fd6665fe7e28e1770a7e43a78baf56b881fb89dd8628391f69ad85581",
+}
+
+
+@pytest.mark.parametrize("point, prec", sorted(_HORNER_SHA256))
+def test_horner_eval_prints_pinned_bytes(point, prec):
+    text = _horner(_HORNER_POINTS[point])
+    code, out, err = run_main(["eval", "--prec", str(prec), "--", text])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _HORNER_SHA256[point, prec]
 
 
 def test_eval_of_260_nested_divisions_by_negative_denominators():

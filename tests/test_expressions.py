@@ -174,6 +174,29 @@ def test_equal_subtrees_build_one_point(monkeypatch):
     assert abs(point.approximate(dyadic(20)) + 3) <= dyadic(20)
 
 
+
+@pytest.mark.parametrize("text", [
+    "below(2/4) - below(1/2)", "2.50 - 5/2", "0/7 - 0", "below(-0) - below(0)",
+    "1/2 * 2/4",
+])
+def test_equal_literals_build_one_leaf(monkeypatch, text):
+    # a literal's key is its value in lowest terms, however it is written
+    built = []
+    for cls in (RatLit, FromBelow):
+        template, operation = expressions._NODES[cls]
+
+        def counting(q, operation=operation):
+            built.append(q)
+            return operation(q)
+
+        monkeypatch.setitem(expressions._NODES, cls, (template, counting))
+    for expr in (text, parse(text)):
+        built.clear()
+        point = build_real(expr)
+        assert len(built) == 1 and type(built[0]) is Fraction
+        eps = dyadic(20)
+        assert abs(point.approximate(eps) - eval_exact(parse(text))) <= eps
+
 DEEP = 10000
 
 

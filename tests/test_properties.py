@@ -7,7 +7,8 @@ text, for the parser's error paths, is printed expressions with runs of
 tokens replaced, or the grammar's tokens in any order.  Signed sums of up
 to 60 terms are checked term by term against the exact sum.  Building a real
 from text is checked against building it from the parsed AST, and the
-one-node |x| and reciprocal against the compositions they replaced.
+one-node |x| and reciprocal against the compositions they replaced.  A
+product's bounds are checked against |x(1)| + 2 computed in Fractions.
 """
 
 import re
@@ -17,14 +18,15 @@ from io import StringIO
 
 from hypothesis import example, given, settings, strategies as st
 
-from cauchyreal import (PENDING, CompletionPoint, Done, absolute, add, build_real,
-                        dyadic, evaluate_enclosure, find_apart_witness, fires,
-                        format_expr, format_rat, from_below, from_rat, interleave,
-                        is_positive, limit, lt_rat_semidecide, neg, parse,
-                        recip_witnessed, signed_sum, sub)
+from cauchyreal import (PENDING, CompletionPoint, Done, absolute, add, bound,
+                        build_real, dyadic, evaluate_enclosure, find_apart_witness,
+                        fires, format_expr, format_rat, from_below, from_rat,
+                        interleave, is_positive, limit, lt_rat_semidecide, mul, neg,
+                        parse, recip_witnessed, signed_sum, sub)
 from cauchyreal.cli import cmd_eval, decimal_digits, format_decimal
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
                                     Neg, ParseError, RatLit, Sub)
+from cauchyreal.rational import ceil_log2
 from cauchyreal.reals import _apart
 
 from oracles import (composed_absolute, composed_recip_witnessed, eval_exact, full_scan_lt,
@@ -361,6 +363,54 @@ def test_signed_sums_answer_within_their_allowance(terms, up):
         assert abs(m * dyadic(k) - value) < dyadic(k)
         if folded is not None:
             assert folded.scaled(k) == m
+
+
+# Points for mul's bound reads, one per kind of point: each is made fresh,
+# so equal arguments make equal points in equal states.
+_BOUND_POINTS = {
+    "exact": from_rat,
+    "opaque": lambda q: CompletionPoint(lambda eps: q - eps / 3),
+    "below": from_below,
+    "operation": lambda q: add(from_below(q), from_below(Fraction(1, 3))),
+}
+# (kind, value, memo): a point's memo before the read is none, the coarse
+# answer at 1, or a finer one.
+_BOUND_CASES = st.tuples(
+    st.sampled_from(sorted(_BOUND_POINTS)), _SIGNED,
+    st.one_of(st.sampled_from((None, 0)), st.integers(min_value=1, max_value=80)))
+
+
+def _bound_point(kind, q, memo):
+    x = _BOUND_POINTS[kind](q)
+    if memo is not None:
+        x.approximate(dyadic(memo))
+    return x
+
+
+@PROPERTY_SETTINGS
+@given(_BOUND_CASES, _BOUND_CASES)
+def test_mul_bounds_its_operands_on_their_approximants_at_one(x_case, y_case):
+    # The oracle is |x(1)| + 2 in Fractions, on a copy in the same state: a
+    # finer memo is read as it stands, not rounded to the grid 1.
+    def pair():
+        return _bound_point(*x_case), _bound_point(*y_case)
+
+    x, y = pair()
+    bx = abs(x.approximate(Fraction(1))) + 2
+    by = abs(y.approximate(Fraction(1))) + 2
+    x, y = pair()
+    assert (bound(x), bound(y)) == (bx, by)
+    product = mul(*pair())
+    if product.exact is not None:
+        assert product.exact == x_case[1] * y_case[1]
+        return
+    ea = ceil_log2(by.numerator, by.denominator)
+    eb = ceil_log2(bx.numerator, bx.denominator)
+    assert [offset for _, offset in product._operands] == [ea + 2, eb + 2]
+    x, y = pair()
+    given_bounds = mul(x, y, x_bound=bx, y_bound=by)
+    for k in (0, 64, 1000):
+        assert product.scaled(k) == given_bounds.scaled(k)
 
 
 @st.composite

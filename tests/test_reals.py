@@ -154,6 +154,17 @@ def test_mul_clip_engages_on_overshooting_approximant():
         assert abs(product.approximate(eps) - 3) <= eps
 
 
+
+def test_mul_reads_its_right_operands_bound_before_its_left():
+    # x is built on y.  Read first, y's memo is its answer at k = 0, 0, so
+    # its bound is 2 and x is read at k + 3; reading x first would refine
+    # y's memo to 2/4 at k = 2, and its bound to 5/2, and read x at k + 4
+    y = absolute(from_below(Fraction(9, 20)))
+    x = add(y, ONE)
+    product = mul(x, y)
+    assert [offset for _, offset in product._operands] == [3, 4]
+    assert y._memo == (2, 2) and bound(y) == Fraction(5, 2)
+
 def test_horner_chain_computes_its_shared_right_operand_once():
     # p = p*x + c in 8 steps, x the right operand of each product: the
     # innermost product asks x first, at the finest precision (1000 plus
