@@ -2,15 +2,14 @@
 
 Output is line-oriented key=value pairs on stdout; errors go to stderr in the
 same shape.  Exit codes: 0 for a computed verdict (including unknown), 1 for
-input that does not parse, a bad command line (such as a negative --prec,
---fuel or --witness-fuel), a stdout closed before the answer was written or
-a computation that ran out of memory (error=memory, such as at a --prec or
---fuel too large to hold its integers), 2 for a division that cannot
-certify its denominator apart from zero.  A syntax error in any operand
-comes before every witness search; in compare, an operand=a or operand=b
-line after error=syntax says which operand it is in.  A usage error caused
-by an expression with a leading minus, which argparse takes for a flag,
-ends with a hint= line.
+input that does not parse, a bad command line (such as a --prec, --fuel or
+--witness-fuel below 0 or above MAX_BUDGET, 2**20), a stdout closed before
+the answer was written or a computation that ran out of memory
+(error=memory), 2 for a division that cannot certify its denominator apart
+from zero.  A syntax error in any operand comes before every witness
+search; in compare, an operand=a or operand=b line after error=syntax says
+which operand it is in.  A usage error caused by an expression with a
+leading minus, which argparse takes for a flag, ends with a hint= line.
 """
 
 import argparse
@@ -32,6 +31,11 @@ from .reals import compare_partial, is_positive
 EXIT_OK = 0
 EXIT_SYNTAX = 1
 EXIT_WITNESS = 2
+
+# The largest --prec, --fuel and --witness-fuel: far past the finest
+# precision the kernel is meant for, 2**-16000, yet refused at once where a
+# larger value would allocate integers of its size for many seconds first.
+MAX_BUDGET = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -192,13 +196,15 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _budget(text):
-    """argparse type of the precision and fuel flags: an integer >= 0."""
+    """argparse type of the precision and fuel flags: an integer from 0 to
+    MAX_BUDGET."""
     try:
         value = int(text)
     except ValueError:
         value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError("expected an integer >= 0, got %r" % text)
+    if not 0 <= value <= MAX_BUDGET:
+        raise argparse.ArgumentTypeError(
+            "expected an integer from 0 to %d, got %r" % (MAX_BUDGET, text))
     return value
 
 

@@ -14,10 +14,12 @@ its share; the comments on each rule say where the halves go.  Built-in reals
 (see reals) take a second, integer path through the same points: a request
 for precision 2**-k is the integer k, the answer an integer m with
 |x - m * 2**-k| < 2**-k, and splits become offsets on k.  A built-in
-operation is data: its operands, each with its offset, and an integer rule
-that combines their answers.  CompletionPoint.scaled is the one place that
-reads operands, so evaluation takes one Python frame per level of nesting,
-however many operands a level has.
+operation is data: its operands, each with its offset, an integer rule
+that combines their answers, and a magnitude exponent e with |x| <= 2**e
+or the rule that gives it from its operands' (_magnitude), which bounds
+products without evaluating their operands.  CompletionPoint.scaled is the
+one place that reads operands, so evaluation takes one Python frame per
+level of nesting, however many operands a level has.
 Procedures given here, such as limit's, stay opaque rational procedures;
 the integer path reaches them by rounding an approximant at 2**-(k+1).
 """
@@ -61,14 +63,19 @@ class CompletionPoint:
     and answer every request with it; operations use the tag to fast-path
     exact inputs.
 
+    A real point also keeps its magnitude exponent in one slot, _e: an int
+    e with |x| <= 2**e once known (see _magnitude), None for a leaf before
+    its first read, or an operation's rule for e until then.
+
     Instances are safe to share between threads.  Reads take no lock:
     _memo is one slot holding an immutable pair, so a racing reader sees the
     old pair or the new one, and either is a valid answer.  The lock only
     makes the check and the store one step, so that a coarser answer never
-    replaces a finer one.
+    replaces a finer one.  _e needs no lock: racing walks store ints, each
+    a valid exponent, and a reader sees the rule or one of them.
     """
 
-    __slots__ = ("_approx", "_scaled", "_operands", "exact", "_lock", "_memo")
+    __slots__ = ("_approx", "_scaled", "_operands", "exact", "_lock", "_memo", "_e")
 
     def __init__(self, approx=None, exact=None, scaled=None):
         self._approx = approx
@@ -77,6 +84,7 @@ class CompletionPoint:
         self.exact = exact
         self._lock = threading.Lock()
         self._memo = None
+        self._e = None
 
     @property
     def space(self):
@@ -212,14 +220,16 @@ def eta(value):
     return CompletionPoint(exact=value)
 
 
-def _operation(exact, combine, *operands):
+def _operation(exact, combine, *operands, magnitude=None):
     """The point of a built-in operation, declared as data.
 
     operands are (point, offset) pairs, any number: scaled(k) asks each
     point, in the listed order, for k + offset, and answers
     combine(k, m_1, ..., m_n) of their integers.  If exact is given and
     every operand is exact, the point is exact instead, with
-    exact(x_1, ..., x_n) of their rationals.
+    exact(x_1, ..., x_n) of their rationals.  magnitude is the point's
+    exponent e (see _magnitude), or a rule giving it from the list of the
+    operands' exponents; without one the point is read like a leaf.
     """
     if exact is not None:
         for x, _ in operands:
@@ -229,25 +239,36 @@ def _operation(exact, combine, *operands):
             return CompletionPoint(exact=exact(*[x.exact for x, _ in operands]))
     point = CompletionPoint(scaled=combine)
     point._operands = operands
+    point._e = magnitude
     return point
 
 
-def _at_one(x):
-    """x(1), the approximant approximate(1) answers, as an integer pair
-    (n, d) with d > 0, not always in lowest terms.
+def _magnitude(x):
+    """An integer e >= 0 with |x| <= 2**e, for a real point x, kept in x._e.
 
-    It takes approximate(1)'s route without its Fractions: an exact point
-    gives its rational, an opaque one its approximant at 1, and an integer
-    one its memo (j, m) as it stands, (m, 2**j), or scaled(0) with no memo.
-    Like approximate, it fills the memo it reads from.
+    A leaf, or an operation that declared no rule, is read once on the
+    integer path: with m = x.scaled(0), |x| < |m| + 1, so e is the least
+    with |m| + 2 <= 2**e.  An operation applies its rule to its operands'
+    exponents.  The walk is iterative, in post-order, and stops at points
+    whose e is known, so it evaluates no operation that declared a rule.
     """
-    if x.exact is None and x._approx is None:
-        memo = x._memo
-        if memo is None:
-            return x.scaled(0), 1
-        return memo[1], 1 << memo[0]
-    q = x.approximate(_ONE)
-    return q.numerator, q.denominator
+    stack = [x]
+    while stack:
+        point = stack[-1]
+        rule = point._e
+        if type(rule) is int:
+            stack.pop()
+        elif rule is None:
+            point._e = (abs(point.scaled(0)) + 1).bit_length()
+            stack.pop()
+        else:
+            pending = [y for y, _ in point._operands if type(y._e) is not int]
+            if pending:
+                stack += pending
+            else:
+                point._e = rule([y._e for y, _ in point._operands])
+                stack.pop()
+    return x._e
 
 
 def limit(x):

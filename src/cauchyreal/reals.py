@@ -22,10 +22,12 @@ k + e + 1 and their errors together stay under 2**-(k+1).  add and sub are
 its two-term case, at k + 2.
 Lipschitz constants, bounds and gaps are rounded to powers of two once, when
 the node is built, so every rounding is a shift or one integer division.
-A product's bounds are read on integers too: each operand's approximant at
-1 is an integer pair, an integer point's being its memo (j, m) as it
-stands, m / 2**j, so building a product makes no Fraction.  Reading a
-bound fills a memo, so mul fixes the order of its two reads.
+A product's bounds are structural: each operation also declares a
+magnitude exponent e with |x| <= 2**e, or its rule from its operands'
+(the larger e plus the sum's own e for a signed sum, ea + eb for a
+product, g for a reciprocal), and only leaves are read, once each, as
+|x.scaled(0)| + 2.  So building a product evaluates no operation, and a
+Horner chain's bounds cost one step per product (completion._magnitude).
 
 Order on the reals is semi-decidable, not decidable: a strict inequality can
 be confirmed in finite fuel, equality can only stay pending forever.  The
@@ -48,7 +50,7 @@ requested precision, four times for the last one):
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .completion import CompletionPoint, _at_one, _operation, eta
+from .completion import CompletionPoint, _magnitude, _operation, eta
 from .partiality import PENDING, TOP, map_partial, monotone_sup, never, now
 from .rational import QPos, ceil_log2, dyadic, round_div
 
@@ -115,7 +117,8 @@ def signed_sum(terms, signs):
             return points[0]
     if len(points) == 2:
         x, y = points
-        return _operation(None, _PAIRS[tuple(minus)], (x, 2), (y, 2))
+        return _operation(None, _PAIRS[tuple(minus)], (x, 2), (y, 2),
+                          magnitude=_PAIR_MAGNITUDE)
     e = (len(points) - 1).bit_length()
     o = e + 1
     half = 1 << e
@@ -123,7 +126,13 @@ def signed_sum(terms, signs):
     def combine(k, *ms):
         return (sum(ms) - 2 * sum(map(ms.__getitem__, minus)) + half) >> o
 
-    return _operation(None, combine, *[(x, o) for x in points])
+    return _operation(None, combine, *[(x, o) for x in points], magnitude=_wider(e))
+
+
+def _wider(c):
+    """The magnitude rule of an operation at most 2**c times as large as its
+    largest operand: a sum of at most 2**c terms, or a scaling by |q| < 2**c."""
+    return lambda es: max(es) + c
 
 
 # The rule at n = 2, e = 1, by the places of the subtracted terms: shared
@@ -134,6 +143,7 @@ _PAIRS = {
     (0,): lambda k, m, n: (n - m + 2) >> 2,
     (0, 1): lambda k, m, n: (2 - m - n) >> 2,
 }
+_PAIR_MAGNITUDE = _wider(1)
 
 
 def add(x, y):
@@ -150,24 +160,24 @@ def sub(x, y):
 
 def neg(x):
     """-x: the operand's answer at k, negated; no rounding."""
-    return _operation(lambda a: -a, lambda k, m: -m, (x, 0))
+    return _operation(lambda a: -a, lambda k, m: -m, (x, 0), magnitude=max)
 
 
 def join(x, y):
     """Lattice join max(x, y): the operands at k.  max is non-expanding in
     the larger of the two errors, so no rounding is needed."""
-    return _operation(max, lambda k, m, n: max(m, n), (x, 0), (y, 0))
+    return _operation(max, lambda k, m, n: max(m, n), (x, 0), (y, 0), magnitude=max)
 
 
 def meet(x, y):
     """Lattice meet min(x, y): the operands at k, as for join."""
-    return _operation(min, lambda k, m, n: min(m, n), (x, 0), (y, 0))
+    return _operation(min, lambda k, m, n: min(m, n), (x, 0), (y, 0), magnitude=max)
 
 
 def absolute(x):
     """|x|: the operand's answer at k, made absolute, with no rounding; one
     node where join(x, -x) is two."""
-    return _operation(abs, lambda k, m: abs(m), (x, 0))
+    return _operation(abs, lambda k, m: abs(m), (x, 0), magnitude=max)
 
 
 def scale(q, x):
@@ -180,7 +190,8 @@ def scale(q, x):
     q = Fraction(q)
     n, d = q.numerator, q.denominator
     e = (abs(n) // d).bit_length()
-    return _operation(lambda v: q * v, lambda k, m: round_div(n * m, d << (e + 1)), (x, e + 1))
+    return _operation(lambda v: q * v, lambda k, m: round_div(n * m, d << (e + 1)), (x, e + 1),
+                      magnitude=_wider(e))
 
 
 def clamp(x, lo, hi):
@@ -193,26 +204,17 @@ def clamp(x, lo, hi):
 
 
 def bound(x):
-    """A rational strictly greater than |x|: |x(1)| + 2.
+    """A rational b >= |x|: |x.scaled(0)| + 2 for a leaf, strictly greater
+    than |x| since the answer is within 1 of x, and 2**e for an operation,
+    from its magnitude exponent e (completion._magnitude).
 
-    The approximant is within 1 of x, so |x| < |x(1)| + 1 < the bound, with a
-    unit of slack to spare.  x(1) is read as approximate(1) reads it, on an
-    integer pair (completion._at_one): an exact point's rational, an opaque
-    point's approximant at 1, and an integer point's memo (j, m) as it
-    stands, m / 2**j, or its answer at k = 0 when it has none.  mul reads
-    the same pair and makes no Fraction of it.
+    A leaf is an exact point, an opaque one or an integer one with no
+    operands.  Reading an operation's e reads none of its operations, only
+    the leaves below it whose e is not yet known, each once, at k = 0.
     """
-    return QPos(*_bound_pair(x))
-
-
-def _bound_pair(x, given=None):
-    """bound(x), or the given bound, as an integer pair (numerator,
-    denominator)."""
-    if given is not None:
-        b = QPos(given)
-        return b.numerator, b.denominator
-    n, d = _at_one(x)
-    return abs(n) + 2 * d, d
+    if x._operands is None:
+        return QPos(abs(x.scaled(0)) + 2)
+    return QPos(1 << _magnitude(x))
 
 
 def mul(x, y, x_bound=None, y_bound=None):
@@ -230,7 +232,8 @@ def mul(x, y, x_bound=None, y_bound=None):
                      <  2**ea * 2**-(k+ea+2) + 2**eb * 2**-(k+eb+2)
                      =  2**-(k+1),
 
-    and rounding U*V to the grid adds at most 2**-(k+1).
+    and rounding U*V to the grid adds at most 2**-(k+1).  The product's own
+    magnitude exponent is ea + eb.
 
     x is listed, and CompletionPoint.scaled reads operands in order, so x is
     read before y.  In a left-deep chain of products with one shared right
@@ -240,29 +243,32 @@ def mul(x, y, x_bound=None, y_bound=None):
     only orders the two operands of one product: a shared point whose first
     request is not its finest computes again for each finer one.
 
-    The default bounds are bound(y) and bound(x), read in that order on
-    integers: |n| + 2d over d for the operand's approximant n/d at 1.
-    A read fills the operand's memo when it has none, and an integer
-    point's approximant at 1 is its memo as it stands, so when x and y
-    share points the order of the reads decides the bounds.  In Horner's
-    rule p*t + c, x is p and y is t, and p is built on t: reading x first
-    would refine t's memo before y is read, which can raise y's bound and
-    the offsets.  The product would still be valid, but its answers need
-    not round the same way.
+    The default exponents are the operands' magnitude exponents
+    (completion._magnitude), so building a product evaluates no operation:
+    only leaves are read, each once, by scaled(0), and a leaf keeps the
+    exponent it read.  A read at k = 0 changes no later answer at k = 0, so
+    which operand is walked first decides no bound, except where an opaque
+    leaf's procedure reads another point.
 
     Custom bounds must genuinely bound the operands; any valid choice denotes
     the same real.
     """
     if x.exact is not None and y.exact is not None:
         return from_rat(x.exact * y.exact)
-    ea = ceil_log2(*_bound_pair(y, y_bound))
-    eb = ceil_log2(*_bound_pair(x, x_bound))
+    ea = _magnitude(y) if y_bound is None else _exponent(y_bound)
+    eb = _magnitude(x) if x_bound is None else _exponent(x_bound)
 
     def combine(k, u, v):
         clip = 1 << (k + ea + eb + 2)
         return (u * max(-clip, min(clip, v)) + 2 * clip) >> (k + ea + eb + 4)
 
-    return _operation(None, combine, (x, ea + 2), (y, eb + 2))
+    return _operation(None, combine, (x, ea + 2), (y, eb + 2), magnitude=ea + eb)
+
+
+def _exponent(b):
+    """The least e >= 0 with b <= 2**e, for a bound b > 0."""
+    b = QPos(b)
+    return ceil_log2(b.numerator, b.denominator)
 
 
 @dataclass(frozen=True)
@@ -295,7 +301,8 @@ def recip_witnessed(x, witness):
 
     plus at most 2**-(k+1) from the rounding.  The negative case mirrors
     through negation, 1/x = -(1/(-x)), in the same node: with s the sign,
-    s * u is floored and the quotient multiplied by s.
+    s * u is floored and the quotient multiplied by s.  |1/x| <= 1/gap
+    <= 2**g, so g is the reciprocal's magnitude exponent.
     """
     if x.exact is not None:
         return from_rat(1 / x.exact)
@@ -306,7 +313,7 @@ def recip_witnessed(x, witness):
     def combine(k, u):
         return s * round_div(1 << (2 * k + 2 * g + 1), max(1 << (k + g + 1), s * u))
 
-    return _operation(None, combine, (x, 2 * g + 1))
+    return _operation(None, combine, (x, 2 * g + 1), magnitude=g)
 
 
 def lt_rat_semidecide(x, q):

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 from io import StringIO
@@ -499,9 +500,9 @@ def test_a_syntax_error_in_either_operand_beats_a_failing_division(bad):
 
 
 @pytest.mark.parametrize("argv, builder", [
-    (["eval", "--prec", "9223372036854775808", "--", "1"], "build_real"),
-    (["sign", "--fuel", "9223372036854775808", "--", "below(1)-1"], "build_real"),
-    (["compare", "--fuel", "1099511627776", "--", "below(1)", "1"], "_build"),
+    (["eval", "--prec", str(cli.MAX_BUDGET), "--", "1"], "build_real"),
+    (["sign", "--fuel", str(cli.MAX_BUDGET), "--", "below(1)-1"], "build_real"),
+    (["compare", "--fuel", str(cli.MAX_BUDGET), "--", "below(1)", "1"], "_build"),
 ])
 def test_running_out_of_memory_reports_an_error(monkeypatch, argv, builder):
     # a stand-in for the allocation that fails, so no test allocates for real
@@ -513,6 +514,25 @@ def test_running_out_of_memory_reports_an_error(monkeypatch, argv, builder):
     assert (code, out) == (1, "")
     assert err == ("error=memory\n"
                    "message=out of memory; try a smaller --prec or --fuel\n")
+
+
+def test_budgets_are_capped():
+    # the cap itself is accepted (no eval runs at it here); one past it is
+    # refused before anything is built, where 2**63 once allocated for
+    # seconds before running out of memory
+    assert cli._budget(str(cli.MAX_BUDGET)) == cli.MAX_BUDGET >= 16000
+    over = str(cli.MAX_BUDGET + 1)
+    for argv in (["eval", "--prec", over, "--", "1"],
+                 ["eval", "--witness-fuel", over, "--", "1/below(1)"],
+                 ["sign", "--fuel", over, "--", "below(1)-1"],
+                 ["compare", "--witness-fuel", over, "--", "1", "below(1)"],
+                 ["sign", "--fuel", "9223372036854775808", "--", "1"]):
+        start = time.perf_counter()
+        code, out, err = run_main(argv)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (1, "")
+        assert err.startswith("error=usage\nmessage=argument --")
+        assert "expected an integer from 0 to %d" % cli.MAX_BUDGET in err
 
 
 # The sha256 of eval's stdout for criterion 12's polynomial at an exact

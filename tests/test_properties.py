@@ -8,7 +8,8 @@ tokens replaced, or the grammar's tokens in any order.  Signed sums of up
 to 60 terms are checked term by term against the exact sum.  Building a real
 from text is checked against building it from the parsed AST, and the
 one-node |x| and reciprocal against the compositions they replaced.  A
-product's bounds are checked against |x(1)| + 2 computed in Fractions.
+product's bounds are checked against the exponents its operands' structure
+gives, and every node of random DAGs against its exact value.
 """
 
 import re
@@ -18,11 +19,12 @@ from io import StringIO
 
 from hypothesis import example, given, settings, strategies as st
 
-from cauchyreal import (PENDING, CompletionPoint, Done, absolute, add, bound,
-                        build_real, dyadic, evaluate_enclosure, find_apart_witness,
-                        fires, format_expr, format_rat, from_below, from_rat,
-                        interleave, is_positive, limit, lt_rat_semidecide, mul, neg,
-                        parse, recip_witnessed, signed_sum, sub)
+from cauchyreal import (PENDING, ApartnessWitness, CompletionPoint, Done, absolute,
+                        add, bound, build_real, dyadic, evaluate_enclosure,
+                        find_apart_witness, fires, format_expr, format_rat, from_below,
+                        from_rat, interleave, is_positive, join, limit,
+                        lt_rat_semidecide, meet, mul, neg, parse, recip_witnessed,
+                        signed_sum, sub)
 from cauchyreal.cli import cmd_eval, decimal_digits, format_decimal
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
                                     Neg, ParseError, RatLit, Sub)
@@ -387,30 +389,122 @@ def _bound_point(kind, q, memo):
     return x
 
 
+def _leaf_exponent(x):
+    """A leaf's e and bound: its bound is |m| + 2 for its answer m at k = 0,
+    a finer memo rounded to the grid 1, and e the least with bound <= 2**e."""
+    b = abs(x.scaled(0)) + 2
+    return ceil_log2(b, 1), b
+
+
 @PROPERTY_SETTINGS
 @given(_BOUND_CASES, _BOUND_CASES)
 def test_mul_bounds_its_operands_on_their_approximants_at_one(x_case, y_case):
-    # The oracle is |x(1)| + 2 in Fractions, on a copy in the same state: a
-    # finer memo is read as it stands, not rounded to the grid 1.
+    # The oracle, on a copy in the same state: a leaf's e and bound from its
+    # answer at k = 0, the grid 1 (_leaf_exponent).  The operation is a pair
+    # sum of two leaves, at most twice the larger, so its e is their larger
+    # e plus 1 and its bound 2**e.  mul reads x at k + e(y) + 2 and y at
+    # k + e(x) + 2.
     def pair():
         return _bound_point(*x_case), _bound_point(*y_case)
 
+    def oracle(kind, x):
+        if kind != "operation":
+            return _leaf_exponent(x)
+        e = 1 + max(_leaf_exponent(z)[0] for z, _ in x._operands)
+        return e, 2 ** e
+
     x, y = pair()
-    bx = abs(x.approximate(Fraction(1))) + 2
-    by = abs(y.approximate(Fraction(1))) + 2
+    (ex, bx), (ey, by) = oracle(x_case[0], x), oracle(y_case[0], y)
     x, y = pair()
     assert (bound(x), bound(y)) == (bx, by)
     product = mul(*pair())
     if product.exact is not None:
         assert product.exact == x_case[1] * y_case[1]
         return
-    ea = ceil_log2(by.numerator, by.denominator)
-    eb = ceil_log2(bx.numerator, bx.denominator)
-    assert [offset for _, offset in product._operands] == [ea + 2, eb + 2]
+    assert [offset for _, offset in product._operands] == [ey + 2, ex + 2]
     x, y = pair()
     given_bounds = mul(x, y, x_bound=bx, y_bound=by)
     for k in (0, 64, 1000):
         assert product.scaled(k) == given_bounds.scaled(k)
+
+
+_SMALL = st.fractions(min_value=-8, max_value=8, max_denominator=8)
+_DAG_LEAVES = {
+    "literal": (RatLit, from_rat),
+    "below": (FromBelow, from_below),
+    "opaque": (RatLit, lambda q: CompletionPoint(lambda eps: q - eps / 3)),
+}
+_DAG_OPERATIONS = {"neg": (Neg, neg), "abs": (Abs, absolute), "max": (Max, join),
+                   "min": (Min, meet), "mul": (Mul, mul)}
+_DAG_STEPS = st.one_of(
+    st.tuples(st.sampled_from(("neg", "abs")), st.integers(0, 99)),
+    st.tuples(st.sampled_from(("max", "min", "mul", "div")), st.integers(0, 99),
+              st.integers(0, 99)),
+    st.tuples(st.just("sum"), st.lists(st.tuples(st.integers(0, 99), st.booleans()),
+                                        min_size=2, max_size=5)))
+
+
+@st.composite
+def dags(draw):
+    """A recipe for a DAG: leaves, then operations on earlier nodes, picked
+    by index modulo the nodes made so far, so later nodes share them."""
+    leaves = draw(st.lists(st.tuples(st.sampled_from(sorted(_DAG_LEAVES)), _SMALL),
+                           min_size=1, max_size=4))
+    return leaves, draw(st.lists(_DAG_STEPS, min_size=1, max_size=10))
+
+
+def _build_dag(recipe):
+    """The (AST, point) of each node of the recipe's DAG, fresh; a division
+    adds its reciprocal and its product, and one by zero is left out."""
+    leaves, steps = recipe
+    nodes = []
+    for kind, q in leaves:
+        node, point = _DAG_LEAVES[kind]
+        nodes.append((node(q), point(q)))
+    for op, *args in steps:
+        if op == "sum":
+            terms = [(nodes[i % len(nodes)], plus) for i, plus in args[0]]
+            (node, _), plus = terms[0]
+            node = node if plus else Neg(node)
+            for (term, _), plus in terms[1:]:
+                node = (Add if plus else Sub)(node, term)
+            point = signed_sum([x for (_, x), _ in terms], [plus for _, plus in terms])
+        elif op == "div":
+            (a, x), (b, y) = (nodes[i % len(nodes)] for i in args)
+            value = eval_exact(b)
+            if value == 0:
+                continue
+            # the widest gap a witness may give, |b| itself
+            recip = recip_witnessed(y, ApartnessWitness(value > 0, abs(value)))
+            nodes.append((Div(RatLit(Fraction(1)), b), recip))
+            node, point = Div(a, b), mul(x, recip)
+        else:
+            cls, rule = _DAG_OPERATIONS[op]
+            operands = [nodes[i % len(nodes)] for i in args]
+            node = cls(*[a for a, _ in operands])
+            point = rule(*[x for _, x in operands])
+        nodes.append((node, point))
+    return nodes
+
+
+@PROPERTY_SETTINGS
+@given(dags())
+@example(([("below", Fraction(6))], [("sum", [(0, True), (0, True), (0, True)])]))
+@example(([("literal", Fraction(1)), ("below", Fraction(1, 4))], [("div", 0, 1)]))
+def test_every_node_is_bounded_before_and_after_evaluation(recipe):
+    # |x| <= bound(x) at each node, checked on fresh DAGs: with no node
+    # evaluated, and after each node is evaluated at k, so that the leaves
+    # read their exponents off finer memos.  The examples are tight: three
+    # below(6) sum to 18, against 2**3 for each term and 2**2 for the sum's
+    # own three terms; 1/below(1/4) is 4, and its gap 1/4 gives g = 2.
+    values = [eval_exact(node) for node, _ in _build_dag(recipe)]
+    for k in (None, 0, 64, 1000):
+        points = [point for _, point in _build_dag(recipe)]
+        if k is not None:
+            for point in points:
+                point.scaled(k)
+        for point, value in zip(points, values):
+            assert abs(value) <= bound(point)
 
 
 @st.composite

@@ -111,9 +111,11 @@ def test_clamp_rejects_empty_interval():
 
 
 def test_bound_values():
+    # a leaf's bound is |x.scaled(0)| + 2; below(10)'s answer at k = 0
+    # rounds its approximant at 1/2, 10 - 1/4, to 10
     assert bound(from_rat(3)) == 5
     assert bound(from_rat(0)) == 2
-    assert bound(below(10)) == Fraction(23, 2)
+    assert bound(below(10)) == 12
 
 
 def test_bound_dominates_value():
@@ -155,20 +157,29 @@ def test_mul_clip_engages_on_overshooting_approximant():
 
 
 
-def test_mul_reads_its_right_operands_bound_before_its_left():
-    # x is built on y.  Read first, y's memo is its answer at k = 0, 0, so
-    # its bound is 2 and x is read at k + 3; reading x first would refine
-    # y's memo to 2/4 at k = 2, and its bound to 5/2, and read x at k + 4
+def test_mul_bounds_do_not_depend_on_which_operand_is_walked_first():
+    # x is built on y.  y's e is its leaf's, 1: below(9/20) answers 0 at
+    # k = 0, and 0 + 2 <= 2**1.  x = y + 1 has the larger of y's e and 1's,
+    # 2 (1 + 2 <= 2**2), plus the pair sum's own 1: 3.  So x is read at
+    # k + 1 + 2 and y at k + 3 + 2, whether y's e is found first, by mul,
+    # or on the walk from x, by bound; and neither operation is evaluated
     y = absolute(from_below(Fraction(9, 20)))
     x = add(y, ONE)
     product = mul(x, y)
-    assert [offset for _, offset in product._operands] == [3, 4]
-    assert y._memo == (2, 2) and bound(y) == Fraction(5, 2)
+    assert [offset for _, offset in product._operands] == [3, 5]
+    assert x._memo is None and y._memo is None
+    y = absolute(from_below(Fraction(9, 20)))
+    x = add(y, ONE)
+    assert bound(x) == 8
+    assert [offset for _, offset in mul(x, y)._operands] == [3, 5]
 
 def test_horner_chain_computes_its_shared_right_operand_once():
     # p = p*x + c in 8 steps, x the right operand of each product: the
-    # innermost product asks x first, at the finest precision (1000 plus
-    # the offsets of 8 levels), and each outer one is served from x's memo
+    # innermost product asks x first, at the finest precision, and each
+    # outer one is served from x's memo.  x's e is 1 (third(0) = 0) and 1's
+    # is 2, so each product reads p at k + 3 and the sum above it reads the
+    # product at k + 2: 5 bits a level.  The innermost product, 7 levels
+    # below the outermost at 1002, reads x at 1037 + e(1) + 2 = 1041
     calls = []
 
     def third(k):
@@ -179,9 +190,45 @@ def test_horner_chain_computes_its_shared_right_operand_once():
     p = ONE
     for _ in range(8):
         p = add(mul(p, x), ONE)
-    calls.clear()   # building reads x for the bounds
+    assert calls == [0]     # building reads x once, at k = 0, for its e
     p.scaled(1000)
-    assert calls == [1047]
+    assert calls == [0, 1041]
+
+
+def test_building_a_horner_chain_evaluates_no_operation():
+    # each product's bounds come from its operands' magnitude exponents:
+    # the partial sums' follow from the products' and the constants', so
+    # only the leaf x is read, once, at k = 0
+    calls = []
+
+    def third(k):
+        calls.append(k)
+        return ((1 << k) + 1) // 3
+
+    x = CompletionPoint(scaled=third)
+    p = ONE
+    for c in range(64):
+        p = add(mul(p, x), from_rat(c - 31))
+    assert len(calls) <= 1
+    operations, stack = [], [p]
+    while stack:
+        point = stack.pop()
+        if point._operands is not None:
+            operations.append(point)
+            stack.extend(y for y, _ in point._operands)
+    assert len(operations) == 128
+    assert all(point._memo is None for point in operations)
+
+
+def test_mul_of_a_deep_operand_builds():
+    # the magnitude walk is iterative: 5,000 negations of below(1) keep its
+    # e, 2 (its answer at k = 0 is 1, and 1 + 2 <= 2**2)
+    x = from_below(1)
+    for _ in range(5000):
+        x = neg(x)
+    product = mul(x, x)
+    assert [offset for _, offset in product._operands] == [4, 4]
+    assert bound(x) == 4
 
 
 def test_recip_exact_cases():
