@@ -10,6 +10,11 @@ from zero.  A syntax error in any operand comes before every witness
 search; in compare, an operand=a or operand=b line after error=syntax says
 which operand it is in.  A usage error caused by an expression with a
 leading minus, which argparse takes for a flag, ends with a hint= line.
+
+The documented forms (a command, then its expressions and flags in any
+order, with a -- before an expression that starts with a minus) are read
+directly; any other command line goes through argparse, whose usage errors
+and help are printed unchanged.  -h prints the help and exits 0.
 """
 
 import argparse
@@ -188,11 +193,20 @@ class _UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    pass
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse's default exit code for usage errors collides with the
     # witness-failure code; fold usage problems into the syntax exit code.
     def error(self, message):
         raise _UsageError(message)
+
+    # -h raises instead of printing to sys.stdout and exiting, so that main
+    # writes the help to its own out and returns.
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def _budget(text):
@@ -208,7 +222,59 @@ def _budget(text):
     return value
 
 
-_FLAGS = ("-h", "--help", "--prec", "--witness-fuel", "--format", "--fuel")
+# The documented forms: each command's positionals, and its flags with their
+# dests and defaults.  _build_parser declares the same; a test checks that
+# the two agree.
+_FORMS = {
+    "eval": (("expr",), {"--prec": ("prec", 64), "--witness-fuel": ("witness_fuel", None),
+                         "--format": ("fmt", "both")}),
+    "sign": (("expr",), {"--fuel": ("fuel", 256), "--witness-fuel": ("witness_fuel", None)}),
+    "compare": (("a", "b"), {"--fuel": ("fuel", 256), "--witness-fuel": ("witness_fuel", None)}),
+}
+_FORMATS = ("rational", "decimal", "both")
+
+
+def _read_argv(argv):
+    """The Namespace parse_args gives argv in a documented form, else None.
+
+    A documented form is a command, then its positionals and its flags in
+    any order, each flag once, as --flag N or --flag=N with N a _budget or a
+    --format choice; after a -- every token is positional.  Anything else,
+    -h included, is left to argparse, so its messages stay the only ones.
+    So is a -- that ends argv, which argparse takes for an unrecognized
+    argument when an option comes between it and the last positional.
+    """
+    if not argv or argv[0] not in _FORMS or argv[-1] == "--":
+        return None
+    names, flags = _FORMS[argv[0]]
+    args = {"command": argv[0], **dict(flags.values())}
+    unread, positionals = dict(flags), []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            positionals += tokens
+        elif not token.startswith("-"):
+            positionals.append(token)
+        else:
+            flag, equals, value = token.partition("=")
+            if not equals:
+                value = next(tokens, "-")
+            if flag not in unread or not equals and value.startswith("-"):
+                return None
+            dest = unread.pop(flag)[0]
+            if dest == "fmt" and value not in _FORMATS:
+                return None
+            try:
+                args[dest] = value if dest == "fmt" else _budget(value)
+            except argparse.ArgumentTypeError:
+                return None
+    if "--" in positionals or len(positionals) != len(names):
+        return None
+    args.update(zip(names, positionals))
+    return argparse.Namespace(**args)
+
+
+_FLAGS = ("-h", "--help", *dict.fromkeys(flag for _, flags in _FORMS.values() for flag in flags))
 _NEGATIVE_NUMBER = re.compile(r"-\d*\.?\d+$")
 
 
@@ -234,7 +300,7 @@ def _build_parser():
                         help="enclosure radius 2**-K (default 64)")
     p_eval.add_argument("--witness-fuel", type=_budget, default=None, metavar="N",
                         help="division witness search budget (default max(64, K+8))")
-    p_eval.add_argument("--format", choices=["rational", "decimal", "both"],
+    p_eval.add_argument("--format", choices=_FORMATS,
                         default="both", dest="fmt")
 
     p_sign = sub.add_parser("sign", help="semi-decide the sign of an expression")
@@ -294,13 +360,16 @@ def main(argv=None, out=None, err=None):
     """Entry point; returns the exit code instead of raising SystemExit."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _read_argv(argv) or _build_parser().parse_args(argv)
+    except _Help as exc:
+        out.write(str(exc))
+        return EXIT_OK
     except _UsageError as exc:
         err.write("error=usage\n")
         err.write("message=%s\n" % exc)
-        if _reads_as_flag(sys.argv[1:] if argv is None else argv):
+        if _reads_as_flag(argv):
             err.write("hint=put flags first, then --, then the expression\n")
         return EXIT_SYNTAX
     try:

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -12,6 +14,8 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
+
+from hypothesis import given, settings, strategies as st
 
 from cauchyreal import (Enclosure, cli, dyadic, evaluate_enclosure, expressions,
                         parse, reals)
@@ -191,6 +195,135 @@ def test_python_dash_m_runs_the_command_line():
     code, out, err = creal("eval", "1/(1-1)")
     assert (code, out) == (2, "")
     assert err.startswith("error=witness\nfuel=72\nmessage=")
+
+
+def _subparser(command):
+    (commands,) = [action for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return commands.choices[command]
+
+
+def test_help_is_written_to_out_and_returns_0(capsys, monkeypatch):
+    # the help text's width follows COLUMNS, pinned for both processes
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["-h"], ["eval", "-h"], ["sign", "--help"], ["compare", "-h"]):
+        parser = cli._build_parser() if argv == ["-h"] else _subparser(argv[0])
+        assert run_main(argv) == (0, parser.format_help(), "")
+        assert capsys.readouterr() == ("", "")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-m", "cauchyreal", "-h"], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == run_main(["-h"])
+    assert done.stdout.startswith("usage: creal")
+
+
+def test_the_forms_table_agrees_with_the_parser():
+    parser = cli._build_parser()
+    option_strings = {s for action in parser._actions for s in action.option_strings}
+    for command, (names, flags) in cli._FORMS.items():
+        actions = _subparser(command)._actions
+        assert [a.dest for a in actions if not a.option_strings] == list(names)
+        assert {s: a.dest for a in actions for s in a.option_strings if a.dest != "help"} == \
+            {flag: dest for flag, (dest, _) in flags.items()}
+        assert vars(parser.parse_args([command, *names])) == \
+            {"command": command, **dict(flags.values()), **dict(zip(names, names))}
+        option_strings.update(s for a in actions for s in a.option_strings)
+    assert sorted(cli._FLAGS) == sorted(option_strings)
+
+
+# Forms the reader leaves to argparse: help, an abbreviated or repeated flag,
+# a value _budget refuses, a value token or a token before -- that starts
+# with a minus, a second -- or one that ends argv, a wrong positional count
+# and a flag of another command.
+_DECLINED = [["-h"], ["eval", "1", "--pre", "5"], ["eval", "1", "--prec", "5", "--prec", "6"],
+             ["eval", "1", "--prec=-5"], ["eval", "1", "--prec="], ["eval", "1", "--prec", "-0_0"],
+             ["eval", "-1"], ["eval", "-"],
+             ["compare", "--", "--", "1"], ["eval", "1", "--format", "decimal", "--"],
+             ["sign", "1", "--"], ["eval"], ["compare", "1"], ["sign", "1", "2"],
+             ["sign", "1", "--format", "both"], ["eval", "1", "--fuel", "5"], []]
+# Forms it reads, among them spellings of N that int() accepts.
+_READ = [["sign", "1/3", "--fuel=64"], ["eval", "2/7", "--prec", "5"],
+         ["compare", "1/3", "--fuel", "5", "1/2"], ["eval", "2/7", "--prec", " 7"],
+         ["eval", "2/7", "--prec", "1_0"], ["eval", "2/7", "--prec", "+3"]]
+
+
+@pytest.mark.parametrize("argv", _DECLINED + _READ)
+def test_main_answers_as_argparse_alone(monkeypatch, argv):
+    args = cli._read_argv(argv)
+    assert (args is None) == (argv in _DECLINED)
+    if args is not None:
+        assert args == cli._build_parser().parse_args(argv)
+    answer = run_main(argv)
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+    assert run_main(argv) == answer
+
+
+_BUDGETS = ["0", "64", " 7", "1_0", "+3", str(cli.MAX_BUDGET)]
+_TEXTS = ["1/3", "below(1)", "", "2", "-1", "-", "--prec", "-1/3"]
+
+
+@st.composite
+def _documented_argv(draw):
+    """A command with its positionals and some of its flags, in any order,
+    but with the positionals from the first that starts with a minus, and
+    maybe others, after a -- (which then never ends argv)."""
+    command = draw(st.sampled_from(sorted(cli._FORMS)))
+    names, flags = cli._FORMS[command]
+    texts = draw(st.lists(st.sampled_from(_TEXTS), min_size=len(names), max_size=len(names)))
+    pieces = []
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
+        value = draw(st.sampled_from(cli._FORMATS if flag == "--format" else _BUDGETS))
+        pieces.append(["%s=%s" % (flag, value)] if draw(st.booleans()) else [flag, value])
+    dashed = [i for i, text in enumerate(texts) if text.startswith("-")]
+    cut = draw(st.integers(0, dashed[0] if dashed else len(texts)))
+    pieces += [[text] for text in texts[:cut]]
+    argv = [command, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+    if cut < len(texts):
+        argv += ["--", *texts[cut:]]
+    return argv
+
+
+_TOKENS = ["eval", "sign", "compare", "--", "-", "-h", "--help", "-x", "--pre", "--prec",
+           "--fuel", "--fue", "--witness-fuel", "--format", "--prec=5", "--prec=", "--prec=-5",
+           "--fuel=64", "--format=decimal", "rational", "x", "-0", "-0_0", "-1", *_BUDGETS,
+           *_TEXTS]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_documented_argv())
+def test_the_reader_reads_every_documented_form(argv):
+    assert cli._read_argv(argv) == cli._build_parser().parse_args(argv)
+
+
+@st.composite
+def _edited_argv(draw):
+    """A documented form with one or two tokens inserted, removed or replaced;
+    half the tokens put in are --, whose place decides the most."""
+    argv = draw(_documented_argv())
+    for _ in range(draw(st.integers(1, 2))):
+        start = draw(st.integers(0, len(argv)))
+        argv[start:start + draw(st.integers(0, 1))] = draw(
+            st.lists(st.just("--") | st.sampled_from(_TOKENS), max_size=1))
+    return argv
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=600)
+@given(st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=7), _edited_argv()))
+def test_the_reader_declines_or_agrees_with_argparse(argv):
+    args = cli._read_argv(argv)
+    assert args is None or args == cli._build_parser().parse_args(argv)
+
+
+def test_the_reader_reads_every_workload_argv():
+    # the benchmark's generators, which import nothing outside the standard
+    # library, loaded from their file
+    workloads = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench"
+                                   / "workloads.py"))
+    for workload in workloads["WORKLOADS"]:
+        for seed in (3, 5, 41):
+            for op in workloads["generate"](workload, seed):
+                argv = list(op.argv)
+                assert cli._read_argv(argv) == cli._build_parser().parse_args(argv)
 
 
 def test_decimal_digits():
