@@ -4,8 +4,9 @@ Output is line-oriented key=value pairs on stdout; errors go to stderr in the
 same shape.  Exit codes: 0 for a computed verdict (including unknown), 1 for
 input that does not parse, a bad command line (such as a --prec, --fuel or
 --witness-fuel below 0 or above MAX_BUDGET, 2**20), a stdout closed before
-the answer was written or a computation that ran out of memory
-(error=memory), 2 for a division that cannot certify its denominator apart
+the answer was written, a computation that ran out of memory
+(error=memory) or one nested too deep for the recursion limit
+(error=depth), 2 for a division that cannot certify its denominator apart
 from zero.  A syntax error in any operand comes before every witness
 search; in compare, an operand=a or operand=b line after error=syntax says
 which operand it is in.  A usage error caused by an expression with a
@@ -222,32 +223,41 @@ def _budget(text):
     return value
 
 
-# The documented forms: each command's positionals, and its flags with their
-# dests and defaults.  _build_parser declares the same; a test checks that
-# the two agree.
+# The documented forms: each command's help line, its positionals, and
+# add_argument's keywords for each of its flags.  _build_parser declares
+# them, and _read_argv reads them.
 _FORMS = {
-    "eval": (("expr",), {"--prec": ("prec", 64), "--witness-fuel": ("witness_fuel", None),
-                         "--format": ("fmt", "both")}),
-    "sign": (("expr",), {"--fuel": ("fuel", 256), "--witness-fuel": ("witness_fuel", None)}),
-    "compare": (("a", "b"), {"--fuel": ("fuel", 256), "--witness-fuel": ("witness_fuel", None)}),
+    "eval": ("evaluate an expression to an enclosure", ("expr",), {
+        "--prec": dict(dest="prec", type=_budget, default=64, metavar="K",
+                       help="enclosure radius 2**-K (default 64)"),
+        "--witness-fuel": dict(dest="witness_fuel", type=_budget, default=None, metavar="N",
+                               help="division witness search budget (default max(64, K+8))"),
+        "--format": dict(dest="fmt", choices=("rational", "decimal", "both"), default="both")}),
+    "sign": ("semi-decide the sign of an expression", ("expr",), {
+        "--fuel": dict(dest="fuel", type=_budget, default=256, metavar="N",
+                       help="sign search budget (default 256)"),
+        "--witness-fuel": dict(dest="witness_fuel", type=_budget, default=None, metavar="N")}),
+    "compare": ("semi-decide the order of two expressions", ("a", "b"), {
+        "--fuel": dict(dest="fuel", type=_budget, default=256, metavar="N"),
+        "--witness-fuel": dict(dest="witness_fuel", type=_budget, default=None, metavar="N")}),
 }
-_FORMATS = ("rational", "decimal", "both")
 
 
 def _read_argv(argv):
     """The Namespace parse_args gives argv in a documented form, else None.
 
     A documented form is a command, then its positionals and its flags in
-    any order, each flag once, as --flag N or --flag=N with N a _budget or a
-    --format choice; after a -- every token is positional.  Anything else,
-    -h included, is left to argparse, so its messages stay the only ones.
+    any order, each flag once, as --flag N or --flag=N with N of the flag's
+    type or among its choices; after a -- every token is positional.
+    Anything else, -h included, is left to argparse, so its messages stay
+    the only ones.
     So is a -- that ends argv, which argparse takes for an unrecognized
     argument when an option comes between it and the last positional.
     """
     if not argv or argv[0] not in _FORMS or argv[-1] == "--":
         return None
-    names, flags = _FORMS[argv[0]]
-    args = {"command": argv[0], **dict(flags.values())}
+    _, names, flags = _FORMS[argv[0]]
+    args = {"command": argv[0], **{kw["dest"]: kw["default"] for kw in flags.values()}}
     unread, positionals = dict(flags), []
     tokens = iter(argv[1:])
     for token in tokens:
@@ -261,20 +271,21 @@ def _read_argv(argv):
                 value = next(tokens, "-")
             if flag not in unread or not equals and value.startswith("-"):
                 return None
-            dest = unread.pop(flag)[0]
-            if dest == "fmt" and value not in _FORMATS:
-                return None
+            keywords = unread.pop(flag)
             try:
-                args[dest] = value if dest == "fmt" else _budget(value)
+                value = keywords.get("type", str)(value)
             except argparse.ArgumentTypeError:
                 return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+            args[keywords["dest"]] = value
     if "--" in positionals or len(positionals) != len(names):
         return None
     args.update(zip(names, positionals))
     return argparse.Namespace(**args)
 
 
-_FLAGS = ("-h", "--help", *dict.fromkeys(flag for _, flags in _FORMS.values() for flag in flags))
+_FLAGS = ("-h", "--help", *dict.fromkeys(flag for *_, flags in _FORMS.values() for flag in flags))
 _NEGATIVE_NUMBER = re.compile(r"-\d*\.?\d+$")
 
 
@@ -290,31 +301,16 @@ def _reads_as_flag(argv):
 
 @functools.cache
 def _build_parser():
-    """The parser, built on first use and shared: parsing does not change it."""
+    """The parser of _FORMS, built on first use and shared: parsing does not
+    change it."""
     parser = _ArgumentParser(prog="creal", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate an expression to an enclosure")
-    p_eval.add_argument("expr")
-    p_eval.add_argument("--prec", type=_budget, default=64, metavar="K",
-                        help="enclosure radius 2**-K (default 64)")
-    p_eval.add_argument("--witness-fuel", type=_budget, default=None, metavar="N",
-                        help="division witness search budget (default max(64, K+8))")
-    p_eval.add_argument("--format", choices=_FORMATS,
-                        default="both", dest="fmt")
-
-    p_sign = sub.add_parser("sign", help="semi-decide the sign of an expression")
-    p_sign.add_argument("expr")
-    p_sign.add_argument("--fuel", type=_budget, default=256, metavar="N",
-                        help="sign search budget (default 256)")
-    p_sign.add_argument("--witness-fuel", type=_budget, default=None, metavar="N")
-
-    p_cmp = sub.add_parser("compare", help="semi-decide the order of two expressions")
-    p_cmp.add_argument("a")
-    p_cmp.add_argument("b")
-    p_cmp.add_argument("--fuel", type=_budget, default=256, metavar="N")
-    p_cmp.add_argument("--witness-fuel", type=_budget, default=None, metavar="N")
-
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (help_line, names, flags) in _FORMS.items():
+        sub = commands.add_parser(command, help=help_line)
+        for name in names:
+            sub.add_argument(name)
+        for flag, keywords in flags.items():
+            sub.add_argument(flag, **keywords)
     return parser
 
 
@@ -393,6 +389,10 @@ def main(argv=None, out=None, err=None):
     except MemoryError:
         err.write("error=memory\n")
         err.write("message=out of memory; try a smaller --prec or --fuel\n")
+        return EXIT_SYNTAX
+    except RecursionError:
+        err.write("error=depth\n")
+        err.write("message=nested too deep to evaluate at the recursion limit\n")
         return EXIT_SYNTAX
 
 

@@ -34,6 +34,9 @@ from .rational import QPos, ceil_log2, dyadic, dyadic_rat, round_div
 
 _ONE = Fraction(1)
 
+# The one lock of every point's memo store (see CompletionPoint).
+_STORE = threading.Lock()
+
 
 class CompletionPoint:
     """An element of the completion of a base premetric space.
@@ -69,20 +72,21 @@ class CompletionPoint:
 
     Instances are safe to share between threads.  Reads take no lock:
     _memo is one slot holding an immutable pair, so a racing reader sees the
-    old pair or the new one, and either is a valid answer.  The lock only
-    makes the check and the store one step, so that a coarser answer never
-    replaces a finer one.  _e needs no lock: racing walks store ints, each
-    a valid exponent, and a reader sees the rule or one of them.
+    old pair or the new one, and either is a valid answer.  One module lock,
+    shared by every point's store, only makes the check and the store one
+    step, so that a coarser answer never replaces a finer one.  It is never
+    held while a procedure or an operand is read, so it cannot nest.  _e
+    needs no lock: racing walks store ints, each a valid exponent, and a
+    reader sees the rule or one of them.
     """
 
-    __slots__ = ("_approx", "_scaled", "_operands", "exact", "_lock", "_memo", "_e")
+    __slots__ = ("_approx", "_scaled", "_operands", "exact", "_memo", "_e")
 
     def __init__(self, approx=None, exact=None, scaled=None):
         self._approx = approx
         self._scaled = scaled
         self._operands = None
         self.exact = exact
-        self._lock = threading.Lock()
         self._memo = None
         self._e = None
 
@@ -122,7 +126,7 @@ class CompletionPoint:
         # Computed outside the lock: the procedure may recurse into other
         # points (or this one at a different precision).
         value = self._approx(eps)
-        with self._lock:
+        with _STORE:
             memo = self._memo
             if memo is None or eps < memo[0]:
                 self._memo = (eps, value)
@@ -167,7 +171,7 @@ class CompletionPoint:
             for x, i in operands:
                 ms.append(x.scaled(k + i))
             m = self._scaled(k, *ms)
-        with self._lock:
+        with _STORE:
             memo = self._memo
             if memo is None or k > memo[0]:
                 self._memo = (k, m)

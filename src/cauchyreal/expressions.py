@@ -14,7 +14,8 @@ so a Fraction is made only for the first leaf of each value.  build_real
 makes a chain of + and - one signed sum of all its terms, so a sum of any
 length evaluates in one frame.  Approximating other nesting still recurses,
 one frame per level (CompletionPoint.scaled reads an operation's operands),
-so about 990 levels of it evaluate at the default recursion limit.
+so about 990 levels of it evaluate at the default recursion limit, and
+the CLI reports deeper nesting as error=depth.
 
 Grammar, loosest binding first:
 
@@ -44,8 +45,8 @@ from math import gcd
 from string import ascii_letters, digits
 
 from .rational import _coprime, format_rat, parse_int
-from .reals import (absolute, add, find_apart_witness, from_below, from_rat,
-                    join, meet, mul, neg, recip_witnessed, signed_sum, sub)
+from .reals import (absolute, find_apart_witness, from_below, from_rat, join, meet,
+                    mul, neg, recip_witnessed, signed_sum)
 
 
 @dataclass(frozen=True)
@@ -354,16 +355,17 @@ def _divide(numer, denom, witness_fuel):
 
 # Node class -> (print template, reals operation).  A literal's operation
 # takes its rational; the others take their operands' reals, and division
-# also the witness budget.  Binary operations print fully parenthesized, and
-# a division's right operand gets its own parentheses so an integer/integer
-# pair is not re-folded into a literal.
+# also the witness budget.  + and - have only a template: _build makes every
+# chain of them one signed sum.  Binary operations print fully
+# parenthesized, and a division's right operand gets its own parentheses so
+# an integer/integer pair is not re-folded into a literal.
 _NODES = {
     RatLit: ("%s", from_rat),
     FromBelow: ("below(%s)", from_below),
     Neg: ("-%s", neg),
     Abs: ("abs(%s)", absolute),
-    Add: ("(%s + %s)", add),
-    Sub: ("(%s - %s)", sub),
+    Add: ("(%s + %s)",),
+    Sub: ("(%s - %s)",),
     Mul: ("(%s * %s)", mul),
     Div: ("(%s / (%s))", _divide),
     Max: ("max(%s, %s)", join),
@@ -405,10 +407,10 @@ def build_real(expr, witness_fuel=64):
     a + b - c makes one of three, and each + or - whose left operand it is
     appends to it.  Any other use of it, as the operand of another
     operation or the right operand of a + or -, and the end of the build
-    close it.  A chain of three or more terms closes to one signed sum
-    (reals.signed_sum), which reads each term at k + e + 1 for n <= 2**e
-    terms and evaluates in one frame however long it is.  A lone + or -
-    stays a two-term sum.
+    close it.  A chain closes to one signed sum (reals.signed_sum), which
+    reads each term at k + e + 1 for n <= 2**e terms and evaluates in one
+    frame however long it is; a lone + or - is its two-term case, add or
+    sub.
 
     Equal subexpressions become one point, so its approximations and its
     witness search are done once.  A table that lives for this call maps a
@@ -436,24 +438,12 @@ def _build(order, witness_fuel):
             real = shared[key] = _NODES[cls][1](_coprime(n, d))
         return real
 
-    def built(cls, *operands):
-        # The shared real of the operation cls on its operands' reals.
-        key = (cls, *map(id, operands))
-        real = shared.get(key)
-        if real is None:
-            make = _NODES[cls][1]
-            real = shared[key] = (make(*operands, witness_fuel) if make is _divide
-                                  else make(*operands))
-        return real
-
     def close(result):
         # The real of a result: an open chain [signs, term, term, ...] is
-        # closed, and two terms make the binary operation, not a chain.
+        # closed into one signed sum.
         if type(result) is not list:
             return result
         signs, *terms = result
-        if len(terms) == 2:
-            return built(Add if signs[1] else Sub, *terms)
         signs = tuple(signs)
         key = (signs, tuple(map(id, terms)))
         real = shared.get(key)
@@ -464,7 +454,15 @@ def _build(order, witness_fuel):
     def operation(cls, *operands):
         plus = _SIGNS.get(cls)
         if plus is None:
-            return built(cls, *map(close, operands))
+            # The shared real of the operation cls on its operands' reals.
+            operands = [*map(close, operands)]
+            key = (cls, *map(id, operands))
+            real = shared.get(key)
+            if real is None:
+                make = _NODES[cls][1]
+                real = shared[key] = (make(*operands, witness_fuel) if make is _divide
+                                      else make(*operands))
+            return real
         left, right = operands
         if type(left) is not list:
             return [[True, plus], left, close(right)]

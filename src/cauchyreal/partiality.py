@@ -160,7 +160,9 @@ class _MonotoneSup(Partial):
     at the first coarse stage above it, so a loop of growing fuel polls one
     new stage per run, at O(1) cost.  Stages may read state that other work
     refines (a point's memo), so repeated runs can differ from the full
-    scan's; they stay sound and monotone in fuel.
+    scan's; they stay sound and monotone in fuel.  Each scan has its own
+    lock, held while its stages are polled: a close_semidecide stage can run
+    a nested scan through CompletionSpace.close.
 
     This is the one scan engine.  Arbitrary stages are not monotone, but
     their prefix joins are: countable_sup is this scan of those joins, and

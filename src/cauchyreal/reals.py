@@ -100,7 +100,6 @@ def signed_sum(terms, signs):
     points = []
     minus = []
     constant = None
-    lone = None  # the exact term's own point while it is the only one, added
     for x, plus in zip(terms, signs):
         q = x.exact
         if q is None:
@@ -108,11 +107,10 @@ def signed_sum(terms, signs):
                 minus.append(len(points))
             points.append(x)
         else:
-            lone = x if constant is None and plus else None
             q = q if plus else -q
             constant = q if constant is None else constant + q
     if constant is not None:
-        points.append(lone or CompletionPoint(exact=constant))
+        points.append(CompletionPoint(exact=constant))
         if len(points) == 1:
             return points[0]
     if len(points) == 2:

@@ -220,13 +220,14 @@ def test_help_is_written_to_out_and_returns_0(capsys, monkeypatch):
 def test_the_forms_table_agrees_with_the_parser():
     parser = cli._build_parser()
     option_strings = {s for action in parser._actions for s in action.option_strings}
-    for command, (names, flags) in cli._FORMS.items():
+    for command, (_, names, flags) in cli._FORMS.items():
         actions = _subparser(command)._actions
         assert [a.dest for a in actions if not a.option_strings] == list(names)
         assert {s: a.dest for a in actions for s in a.option_strings if a.dest != "help"} == \
-            {flag: dest for flag, (dest, _) in flags.items()}
+            {flag: keywords["dest"] for flag, keywords in flags.items()}
         assert vars(parser.parse_args([command, *names])) == \
-            {"command": command, **dict(flags.values()), **dict(zip(names, names))}
+            {"command": command, **{kw["dest"]: kw["default"] for kw in flags.values()},
+             **dict(zip(names, names))}
         option_strings.update(s for a in actions for s in a.option_strings)
     assert sorted(cli._FLAGS) == sorted(option_strings)
 
@@ -268,11 +269,11 @@ def _documented_argv(draw):
     but with the positionals from the first that starts with a minus, and
     maybe others, after a -- (which then never ends argv)."""
     command = draw(st.sampled_from(sorted(cli._FORMS)))
-    names, flags = cli._FORMS[command]
+    _, names, flags = cli._FORMS[command]
     texts = draw(st.lists(st.sampled_from(_TEXTS), min_size=len(names), max_size=len(names)))
     pieces = []
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
-        value = draw(st.sampled_from(cli._FORMATS if flag == "--format" else _BUDGETS))
+        value = draw(st.sampled_from(flags[flag].get("choices", _BUDGETS)))
         pieces.append(["%s=%s" % (flag, value)] if draw(st.booleans()) else [flag, value])
     dashed = [i for i, text in enumerate(texts) if text.startswith("-")]
     cut = draw(st.integers(0, dashed[0] if dashed else len(texts)))
@@ -478,6 +479,41 @@ def test_sign_of_a_right_nested_sum_800_levels_deep():
     assert sys.getrecursionlimit() <= 1000
     text = _RIGHT_SUM + " - (800/3 - 1/1000)"
     assert run_main(["sign", "--", text]) == (0, "verdict=positive\nfuel=256\n", "")
+
+
+# Nesting that approximation cannot reach at the default recursion limit.
+# Each division's witness search rereads the chain below it at a finer
+# precision than its memo holds, so the cost grows with the square of the
+# depth; denominators near 3 keep each search at its first stages.
+_TOO_DEEP = {
+    "negations": "-" * 1200 + "below(1)",
+    "max": "max(1, " * 1500 + "below(1)" + ")" * 1500,
+    "right_nested_sum": "below(1) + (" * 1999 + "below(1)" + ")" * 1999,
+    "divisions": "9/(" * 1200 + "below(3)" + ")" * 1200,
+}
+_DEPTH_ERROR = "error=depth\nmessage=nested too deep to evaluate at the recursion limit\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "sign"])
+@pytest.mark.parametrize("case", sorted(_TOO_DEEP))
+def test_nesting_past_the_recursion_limit_reports_an_error(command, case):
+    assert run_main([command, "--", _TOO_DEEP[case]]) == (1, "", _DEPTH_ERROR)
+
+
+def test_nesting_past_the_recursion_limit_has_no_traceback_as_a_program():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    for command in ("eval", "sign"):
+        done = subprocess.run([sys.executable, "-m", "cauchyreal", command, "--",
+                               _TOO_DEEP["negations"]],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", _DEPTH_ERROR)
+    # one level less than the limit still answers
+    done = subprocess.run([sys.executable, "-m", "cauchyreal", "eval", "--",
+                           "-" * 989 + "below(1)"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("eps=")
 
 
 def _mixed_sum(terms):

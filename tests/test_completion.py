@@ -12,6 +12,7 @@ from cauchyreal import (RATIONALS, CompletionSpace, LipschitzFn, QPos,
                         lim_pointwise, limit, monad_join, monad_map)
 
 from cauchyreal.completion import _operation
+from cauchyreal.reals import absolute, add, from_below, mul, neg, sub
 
 from oracles import first_k_with_margin
 
@@ -82,6 +83,52 @@ def test_points_shared_across_threads(corpus):
     assert not any(t.is_alive() for t in threads)
     assert sorted(finished) == [0, 1, 2, 3]
     assert wrong == []
+
+
+def test_memo_stores_keep_the_finest_answer_across_threads():
+    # Four threads ask fresh, independent points for shuffled precisions.
+    # One lock serves every point's store and makes its check and write one
+    # step, so a coarser answer never replaces a finer one: an operation
+    # keeps the largest k asked of it, and an opaque limit point the
+    # smallest eps.
+    def operation(i):
+        x, y = from_below(Fraction(i, 7)), from_below(Fraction(-i, 3))
+        return (neg(x), add(x, y), mul(x, y), absolute(sub(x, y)))[i % 4]
+
+    operations = [operation(i) for i in range(16)]
+    opaque = [below(Fraction(i, 5)) for i in range(16)]
+    rng = random.Random(43)
+    asks = [[rng.sample(range(301), 60) for _ in range(32)] for _ in range(4)]
+    barrier = threading.Barrier(4, timeout=30)
+    finished = []
+
+    def work(n):
+        barrier.wait()
+        for i, ks in enumerate(asks[n]):
+            for k in ks:
+                if i < 16:
+                    operations[i].scaled(k)
+                else:
+                    opaque[i - 16].approximate(dyadic(k))
+        finished.append(n)
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(finished) == [0, 1, 2, 3]
+    finest = [max(k for ks in asks for k in ks[i]) for i in range(32)]
+    for i, point in enumerate(operations):
+        assert point._memo == (finest[i], operation(i).scaled(finest[i]))
+    for i, point in enumerate(opaque):
+        eps = dyadic(finest[16 + i])
+        assert point._memo == (eps, Fraction(i, 5) - eps / 2)
 
 
 def test_limit_evaluation_rule_exactly():

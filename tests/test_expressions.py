@@ -145,7 +145,7 @@ def test_sharing_keys_on_class_and_operands():
 
 def test_equal_subtrees_build_one_point(monkeypatch):
     built = []
-    for cls in (FromBelow, Add, Mul):
+    for cls in (FromBelow, Mul):
         template, operation = expressions._NODES[cls]
 
         def counting(*args, cls=cls, operation=operation):
@@ -153,16 +153,19 @@ def test_equal_subtrees_build_one_point(monkeypatch):
             return operation(*args)
 
         monkeypatch.setitem(expressions._NODES, cls, (template, counting))
-    point = build_real(parse("(below(1) + below(1)) * (below(1) + below(1))"))
-    # one below(1), one sum and the product
-    assert sorted(built) == ["Add", "FromBelow", "Mul"]
-    assert abs(point.approximate(dyadic(20)) - 4) <= dyadic(20)
-    # a chain of three terms is one signed sum, keyed on its signs as well
+    # every chain of + and -, two terms included, is one signed sum, keyed
+    # on its signs as well
     sums = []
     signed_sum = expressions.signed_sum
     monkeypatch.setattr(expressions, "signed_sum",
                         lambda terms, signs: sums.append(signs) or signed_sum(terms, signs))
+    point = build_real(parse("(below(1) + below(1)) * (below(1) + below(1))"))
+    # one below(1), one sum and the product
+    assert sorted(built) == ["FromBelow", "Mul"]
+    assert sums == [(True, True)]
+    assert abs(point.approximate(dyadic(20)) - 4) <= dyadic(20)
     built.clear()
+    sums.clear()
     a_b_c = "(below(1) + below(2) - below(4))"
     point = build_real(parse(a_b_c + " * " + a_b_c))
     assert sums == [(True, True, False)]
