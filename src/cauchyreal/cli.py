@@ -10,7 +10,8 @@ the answer was written, a computation that ran out of memory
 from zero.  A syntax error in any operand comes before every witness
 search; in compare, an operand=a or operand=b line after error=syntax says
 which operand it is in.  A usage error caused by an expression with a
-leading minus, which argparse takes for a flag, ends with a hint= line.
+leading minus, which argparse takes for a flag, ends with a hint= line, as
+does one on a command line that ends in --.
 
 The documented forms (a command, then its expressions and flags in any
 order, with a -- before an expression that starts with a minus) are read
@@ -365,7 +366,7 @@ def main(argv=None, out=None, err=None):
     except _UsageError as exc:
         err.write("error=usage\n")
         err.write("message=%s\n" % exc)
-        if _reads_as_flag(argv):
+        if argv and argv[-1] == "--" or _reads_as_flag(argv):
             err.write("hint=put flags first, then --, then the expression\n")
         return EXIT_SYNTAX
     try:

@@ -4,23 +4,26 @@ A point of the completion is a procedure mapping a requested precision eps to
 a base element within eps of the point it denotes.  eta embeds base elements
 as constant procedures, limit flattens a Cauchy approximation whose members
 are themselves points, and Lipschitz maps on the base extend to the completion
-by evaluating at rescaled precision.  Closeness of two completed points is no
-longer decidable; it is exposed as a semi-decision built from countably many
-finite-precision tests.
+by evaluating at rescaled precision.  That extension is the one recursion
+principle of the completion monad: join is the extension of the identity,
+and a map Lipschitz in each of two arguments extends one argument at a time.
+Closeness of two completed points is no longer decidable; it is exposed as a
+semi-decision built from countably many finite-precision tests.
 
-Precision bookkeeping is the whole game here.  Every evaluation rule splits
-its budget so that each contribution to the final error stays strictly below
-its share; the comments on each rule say where the halves go.  Built-in reals
-(see reals) take a second, integer path through the same points: a request
-for precision 2**-k is the integer k, the answer an integer m with
-|x - m * 2**-k| < 2**-k, and splits become offsets on k.  A built-in
-operation is data: its operands, each with its offset, an integer rule
-that combines their answers, and a magnitude exponent e with |x| <= 2**e
-or the rule that gives it from its operands' (_magnitude), which bounds
-products without evaluating their operands.  CompletionPoint.scaled is the
-one place that reads operands, so evaluation takes one Python frame per
-level of nesting, however many operands a level has.
-Procedures given here, such as limit's, stay opaque rational procedures;
+Precision bookkeeping is the whole game here.  Of the constructions of points,
+only limit and extend_lipschitz split their budget, each so that every
+contribution to the final error stays strictly below its share; their
+docstrings say where the halves go, and the constructions built from them
+inherit the split.  Built-in reals (see reals) take a second, integer path
+through the same points: a request for precision 2**-k is the integer k,
+the answer an integer m with |x - m * 2**-k| < 2**-k, and splits become
+offsets on k.  A built-in operation is data: its operands, each with its
+offset, an integer rule that combines their answers, and a magnitude
+exponent e with |x| <= 2**e or the rule that gives it from its operands'
+(_magnitude), which bounds products without evaluating their operands.
+CompletionPoint.scaled is the one place that reads operands, so evaluation
+takes one Python frame per level of nesting, however many operands a level
+has.  Procedures given here, such as limit's, stay opaque rational procedures;
 the integer path reaches them by rounding an approximant at 2**-(k+1).
 """
 
@@ -335,26 +338,23 @@ def extend_lipschitz(f):
 
 
 def extend_lipschitz2(f, l1, l2):
-    """Extend a binary Lipschitz map along the completion in both arguments.
+    """Extend a binary Lipschitz map along the completion, one argument at a
+    time.
 
     f takes two base elements to a completed point; l1 bounds its expansion
-    in the first argument, l2 in the second.  A request for eps gives each
-    argument a quarter of the budget scaled by the other argument's constant
-    (first at eps/(4 l2), second at eps/(4 l1)) and the image point the
-    remaining half.  Exact tags on both arguments short-circuit to f.
+    in the first argument, l2 in the second.  The extension is curried: x is
+    extended over a -> (the extension of b -> f(a, b), constant l2, at y),
+    an l1-Lipschitz map.  A request for eps so asks x at eps/(2 l1), y at
+    eps/(4 l2) and f's point at eps/4.  Exact tags on both arguments
+    short-circuit to f.
     """
-    l1 = QPos(l1)
-    l2 = QPos(l2)
+    l1, l2 = QPos(l1), QPos(l2)
 
     def extension(x, y):
-        if x.exact is not None and y.exact is not None:
-            return f(x.exact, y.exact)
+        def at_y(a):
+            return extend_lipschitz(LipschitzFn(lambda b: f(a, b), l2))(y)
 
-        def approx(eps):
-            return f(x.approximate(eps / (4 * l2)),
-                     y.approximate(eps / (4 * l1))).approximate(eps / 2)
-
-        return CompletionPoint(approx)
+        return extend_lipschitz(LipschitzFn(at_y, l1))(x)
 
     return extension
 
@@ -370,13 +370,11 @@ def monad_map(f):
 def monad_join(x):
     """Flatten a completed point whose base elements are themselves points.
 
-    A request for eps asks the outer procedure for an eps/2 point, then that
-    point for eps/2.  Together with eta this is the extension of the
-    identity; joining an exact tag returns the inner point unchanged.
+    The extension of the identity, a 1-Lipschitz map from points to points:
+    a request for eps asks the outer procedure for an eps/2 point, then that
+    point for eps/2, and joining an exact tag returns the inner point itself.
     """
-    if x.exact is not None:
-        return x.exact
-    return CompletionPoint(lambda eps: x.approximate(eps / 2).approximate(eps / 2))
+    return extend_lipschitz(LipschitzFn(lambda point: point, _ONE))(x)
 
 
 def lim_pointwise(s):

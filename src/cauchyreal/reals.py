@@ -95,12 +95,14 @@ def signed_sum(terms, signs):
     signed total S is rounded by e+1 bits, (S + 2**e) >> (e+1), which adds
     at most 2**-(k+1).  The exact terms fold into one exact term first, the
     last, signed as a rational, since round_div rounds halves up and so does
-    not commute with negation.  With every term exact the sum is exact.
+    not commute with negation.  With every term exact the sum is exact, and
+    the empty sum is the exact 0.  terms and signs must have one length;
+    otherwise it raises ValueError.
     """
     points = []
     minus = []
     constant = None
-    for x, plus in zip(terms, signs):
+    for x, plus in zip(terms, signs, strict=True):
         q = x.exact
         if q is None:
             if not plus:
@@ -113,6 +115,8 @@ def signed_sum(terms, signs):
         points.append(CompletionPoint(exact=constant))
         if len(points) == 1:
             return points[0]
+    elif not points:
+        return ZERO
     if len(points) == 2:
         x, y = points
         return _operation(None, _PAIRS[tuple(minus)], (x, 2), (y, 2),

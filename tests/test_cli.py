@@ -172,6 +172,18 @@ def test_an_expression_read_as_a_flag_gets_a_hint():
     assert code == 1 and err.endswith(_HINT)
 
 
+def test_a_usage_error_ending_in_a_double_dash_gets_a_hint():
+    # argparse consumes a trailing -- only right after a positional, so an
+    # option between them leaves it unrecognized; the message stays argparse's
+    for argv, rest in ((["eval", "1/3", "--prec", "8", "--"], "--"),
+                       (["sign", "--", "-1/3", "--fuel", "8", "--"], "--fuel 8 --")):
+        assert run_main(argv) == (
+            1, "", "error=usage\nmessage=unrecognized arguments: %s\n%s" % (rest, _HINT))
+    code, out, err = run_main(["eval", "1/3", "--"])
+    assert (code, err) == (0, "")
+    assert out.startswith("eps=1/18446744073709551616\n")
+
+
 def test_python_dash_m_runs_the_command_line():
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import example, given, settings, strategies as st
+
 from cauchyreal import (RATIONALS, CompletionSpace, LipschitzFn, QPos,
                         check_cauchy, close_semidecide, dyadic, dyadic_pairs,
                         eta, extend_lipschitz, extend_lipschitz2, fires,
@@ -327,7 +329,10 @@ def test_extend_lipschitz2_evaluation_rule():
     for k in (1, 7, 25):
         eps = dyadic(k)
         value = plus(below(Fraction(1)), below(Fraction(2))).approximate(eps)
-        assert value == 3 - eps / 4
+        # x is asked at eps/2, so below(1) answers 1 - eps/4; the inner
+        # extension is asked at eps/2 and asks y at eps/4, so below(2)
+        # answers 2 - eps/8; the exact sum adds no error: 3 - 3*eps/8
+        assert value == 3 - 3 * eps / 8
         assert abs(value - 3) <= eps
 
 
@@ -391,6 +396,64 @@ def test_monad_join_after_map_eta_is_identity():
     for k in (4, 22):
         d = dyadic(k)
         assert abs(y.approximate(d) - x.approximate(d)) <= 2 * d
+
+
+_KINDS = ("exact", "below", "limit")
+_CONSTANTS = st.fractions(min_value=Fraction(1, 8), max_value=16, max_denominator=8)
+_VALUES = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_PRECISIONS = st.one_of(st.integers(min_value=0, max_value=60).map(dyadic),
+                        st.fractions(min_value=Fraction(1, 1000), max_value=4,
+                                     max_denominator=1000))
+
+
+def _point(kind, q):
+    """A fresh point of value q: exact, from below on the integer path, or an
+    opaque limit whose answers at eps lie eps/2 above q."""
+    if kind == "exact":
+        return eta(q)
+    if kind == "below":
+        return from_below(q)
+    return limit(lambda e: eta(q + e))
+
+
+def _nested(outer, kind, q):
+    """A fresh point whose base elements are points, of value _point(kind, q):
+    the exact tag of one, or an opaque limit of points e above it."""
+    if outer == "exact":
+        return eta(_point(kind, q))
+    return limit(lambda e: eta(_point(kind, q + e)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_CONSTANTS, _CONSTANTS, st.sampled_from(_KINDS), st.sampled_from(_KINDS),
+       _VALUES, _VALUES, st.sampled_from(("exact", "limit")), _PRECISIONS)
+@example(Fraction(10), Fraction(1), "below", "below", Fraction(1), Fraction(2), "limit",
+         Fraction(1))
+@example(Fraction(1), Fraction(10), "below", "below", Fraction(1), Fraction(2), "exact",
+         dyadic(10))
+def test_completion_constructions_answer_within_eps_at_any_constant(
+        l1, l2, kind1, kind2, q1, q2, outer, eps):
+    # Each map below expands by exactly its constant, so every bound is
+    # tight; every point is fresh, so no memo serves a request.
+    scale = extend_lipschitz(LipschitzFn(lambda a: eta(l1 * a), l1))
+    assert abs(scale(_point(kind1, q1)).approximate(eps) - l1 * q1) < eps
+    if l1 != l2:
+        linear = extend_lipschitz2(lambda a, b: eta(l1 * a + l2 * b), l1, l2)
+        value = linear(_point(kind1, q1), _point(kind2, q2)).approximate(eps)
+        assert abs(value - (l1 * q1 + l2 * q2)) < eps
+    mapped = monad_map(LipschitzFn(lambda a: l2 * a, l2))(_point(kind2, q2))
+    assert abs(mapped.approximate(eps) - l2 * q2) < eps
+    joined = monad_join(_nested(outer, kind1, q1)).approximate(eps)
+    assert abs(joined - q1) < eps
+    # eps/2 to the outer procedure and eps/2 to the point it returns; an
+    # exact tag is joined to its inner point itself
+    nested = _nested(outer, kind1, q1)
+    if outer == "exact":
+        assert joined == nested.exact.approximate(eps)
+    else:
+        assert joined == nested.approximate(eps / 2).approximate(eps / 2)
+    pointwise = lim_pointwise(lambda e: lambda a: _point(kind2, l1 * a + e))
+    assert abs(pointwise(q1).approximate(eps) - l1 * q1) < eps
 
 
 def test_lim_pointwise_evaluation_rule():

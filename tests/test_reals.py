@@ -11,7 +11,7 @@ from cauchyreal import (ONE, PENDING, STAR, TOP, ZERO, ApartnessWitness,
                         find_apart_witness, fires, from_below,
                         from_rat, is_positive, join, join_sier, limit,
                         lt_rat_semidecide, meet, mul, neg, never, parse,
-                        recip_witnessed, scale, sub)
+                        recip_witnessed, scale, signed_sum, sub)
 
 from oracles import (first_k_with_margin, full_prefix_scan, full_scan_lt,
                      linear_witness)
@@ -80,6 +80,22 @@ def test_dual_routes_agree():
         ]
         for fast, generic in pairs:
             assert abs(fast.approximate(eps) - generic.approximate(eps)) <= 2 * eps
+
+
+def test_signed_sum_rejects_terms_and_signs_of_different_lengths():
+    # zip would drop the third term and answer 1 - 2
+    with pytest.raises(ValueError):
+        signed_sum([below(1), below(2), below(4)], [True, False])
+    with pytest.raises(ValueError):
+        signed_sum([from_rat(1)], [True, False])
+
+
+def test_the_empty_signed_sum_is_the_exact_zero():
+    total = signed_sum([], [])
+    assert total.exact == 0
+    assert bound(total) >= 1
+    assert mul(total, below(3)).approximate(dyadic(10)) == 0
+    assert mul(below(3), total).scaled(7) == 0
 
 
 def test_scale_examples():
