@@ -1,26 +1,37 @@
-"""Command-line evaluator: exact enclosures, fuel-bounded sign and comparison.
+"""usage: creal eval [--prec K] [--witness-fuel N] [--format F] [--] EXPR
+       creal sign [--fuel N] [--witness-fuel N] [--] EXPR
+       creal compare [--fuel N] [--witness-fuel N] [--] A B
+       creal -h
+
+eval encloses the value of EXPR within radius 2**-K, where K is --prec
+(default 64), and prints the enclosure as rationals, decimals or both
+(--format rational, decimal or both; default both).  sign semi-decides the
+sign of EXPR, and compare the order of A and B, within N stages, where N is
+--fuel (default 256).  A division searches for its witness within
+--witness-fuel stages (default max(64, K + 8), with K the --prec or
+--fuel).  --prec, --fuel and --witness-fuel take an integer from 0 to
+2**20.
+
+Flags and expressions come in any order.  A flag is given as --flag N or
+--flag=N, may be cut to a prefix that no other flag shares (--pre 8), and
+keeps its last value when repeated.  Every token after -- is an expression,
+so an expression that starts with a minus goes after it; a -- that ends the
+command line changes nothing.  -h or --help before any -- prints this text
+and exits 0.
 
 Output is line-oriented key=value pairs on stdout; errors go to stderr in the
 same shape.  Exit codes: 0 for a computed verdict (including unknown), 1 for
-input that does not parse, a bad command line (such as a --prec, --fuel or
---witness-fuel below 0 or above MAX_BUDGET, 2**20), a stdout closed before
-the answer was written, a computation that ran out of memory
+input that does not parse, a bad command line (error=usage), a stdout
+closed before the answer was written, a computation that ran out of memory
 (error=memory) or one nested too deep for the recursion limit
 (error=depth), 2 for a division that cannot certify its denominator apart
 from zero.  A syntax error in any operand comes before every witness
 search; in compare, an operand=a or operand=b line after error=syntax says
-which operand it is in.  A usage error caused by an expression with a
-leading minus, which argparse takes for a flag, ends with a hint= line, as
-does one on a command line that ends in --.
-
-The documented forms (a command, then its expressions and flags in any
-order, with a -- before an expression that starts with a minus) are read
-directly; any other command line goes through argparse, whose usage errors
-and help are printed unchanged.  -h prints the help and exits 0.
+which operand it is in.  A usage error ends with a hint= line when a token
+before any -- reads as a flag of no command, as an expression with a
+leading minus does.
 """
 
-import argparse
-import functools
 import os
 import re
 import sys
@@ -191,130 +202,6 @@ def _write_enclosure(out, box, prec, fmt):
         out.write("hi.decimal=%s\n" % _with_point(n_hi, str(dec_hi.copy_abs()), digits))
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Help(Exception):
-    pass
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    # argparse's default exit code for usage errors collides with the
-    # witness-failure code; fold usage problems into the syntax exit code.
-    def error(self, message):
-        raise _UsageError(message)
-
-    # -h raises instead of printing to sys.stdout and exiting, so that main
-    # writes the help to its own out and returns.
-    def print_help(self, file=None):
-        raise _Help(self.format_help())
-
-
-def _budget(text):
-    """argparse type of the precision and fuel flags: an integer from 0 to
-    MAX_BUDGET."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if not 0 <= value <= MAX_BUDGET:
-        raise argparse.ArgumentTypeError(
-            "expected an integer from 0 to %d, got %r" % (MAX_BUDGET, text))
-    return value
-
-
-# The documented forms: each command's help line, its positionals, and
-# add_argument's keywords for each of its flags.  _build_parser declares
-# them, and _read_argv reads them.
-_FORMS = {
-    "eval": ("evaluate an expression to an enclosure", ("expr",), {
-        "--prec": dict(dest="prec", type=_budget, default=64, metavar="K",
-                       help="enclosure radius 2**-K (default 64)"),
-        "--witness-fuel": dict(dest="witness_fuel", type=_budget, default=None, metavar="N",
-                               help="division witness search budget (default max(64, K+8))"),
-        "--format": dict(dest="fmt", choices=("rational", "decimal", "both"), default="both")}),
-    "sign": ("semi-decide the sign of an expression", ("expr",), {
-        "--fuel": dict(dest="fuel", type=_budget, default=256, metavar="N",
-                       help="sign search budget (default 256)"),
-        "--witness-fuel": dict(dest="witness_fuel", type=_budget, default=None, metavar="N")}),
-    "compare": ("semi-decide the order of two expressions", ("a", "b"), {
-        "--fuel": dict(dest="fuel", type=_budget, default=256, metavar="N"),
-        "--witness-fuel": dict(dest="witness_fuel", type=_budget, default=None, metavar="N")}),
-}
-
-
-def _read_argv(argv):
-    """The Namespace parse_args gives argv in a documented form, else None.
-
-    A documented form is a command, then its positionals and its flags in
-    any order, each flag once, as --flag N or --flag=N with N of the flag's
-    type or among its choices; after a -- every token is positional.
-    Anything else, -h included, is left to argparse, so its messages stay
-    the only ones.
-    So is a -- that ends argv, which argparse takes for an unrecognized
-    argument when an option comes between it and the last positional.
-    """
-    if not argv or argv[0] not in _FORMS or argv[-1] == "--":
-        return None
-    _, names, flags = _FORMS[argv[0]]
-    args = {"command": argv[0], **{kw["dest"]: kw["default"] for kw in flags.values()}}
-    unread, positionals = dict(flags), []
-    tokens = iter(argv[1:])
-    for token in tokens:
-        if token == "--":
-            positionals += tokens
-        elif not token.startswith("-"):
-            positionals.append(token)
-        else:
-            flag, equals, value = token.partition("=")
-            if not equals:
-                value = next(tokens, "-")
-            if flag not in unread or not equals and value.startswith("-"):
-                return None
-            keywords = unread.pop(flag)
-            try:
-                value = keywords.get("type", str)(value)
-            except argparse.ArgumentTypeError:
-                return None
-            if "choices" in keywords and value not in keywords["choices"]:
-                return None
-            args[keywords["dest"]] = value
-    if "--" in positionals or len(positionals) != len(names):
-        return None
-    args.update(zip(names, positionals))
-    return argparse.Namespace(**args)
-
-
-_FLAGS = ("-h", "--help", *dict.fromkeys(flag for *_, flags in _FORMS.values() for flag in flags))
-_NEGATIVE_NUMBER = re.compile(r"-\d*\.?\d+$")
-
-
-def _reads_as_flag(argv):
-    """Whether a token before any -- starts with - and is neither a flag,
-    nor a prefix of one, nor a negative number: argparse then takes it for
-    an unknown flag, as it does an expression with a leading minus."""
-    head = argv[:argv.index("--")] if "--" in argv else argv
-    return any(token.startswith("-") and not _NEGATIVE_NUMBER.match(token)
-               and not any(flag.startswith(token.split("=", 1)[0]) for flag in _FLAGS)
-               for token in head)
-
-
-@functools.cache
-def _build_parser():
-    """The parser of _FORMS, built on first use and shared: parsing does not
-    change it."""
-    parser = _ArgumentParser(prog="creal", description=__doc__)
-    commands = parser.add_subparsers(dest="command", required=True)
-    for command, (help_line, names, flags) in _FORMS.items():
-        sub = commands.add_parser(command, help=help_line)
-        for name in names:
-            sub.add_argument(name)
-        for flag, keywords in flags.items():
-            sub.add_argument(flag, **keywords)
-    return parser
-
-
 def cmd_eval(expr, prec, witness_fuel, fmt, out):
     _write_enclosure(out, evaluate_enclosure(expr, prec, witness_fuel), prec, fmt)
     return EXIT_OK
@@ -353,47 +240,161 @@ def _write_verdict(out, outcome, fuel, if_true, if_false):
     return EXIT_OK
 
 
+def _budget(text):
+    """The value of --prec, --fuel or --witness-fuel: an integer from 0 to
+    MAX_BUDGET, spelt as int() reads it."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= MAX_BUDGET:
+        raise ValueError("expected an integer from 0 to %d, got %r" % (MAX_BUDGET, text))
+    return value
+
+
+def _format(text):
+    """The value of --format: rational, decimal or both."""
+    if text not in ("rational", "decimal", "both"):
+        raise ValueError("invalid choice: %r (choose from 'rational', 'decimal', 'both')" % text)
+    return text
+
+
+# Each command's function, its positionals, and for each of its flags the
+# keyword the function takes its value by, its default, and the function
+# that reads its value or raises ValueError.  The tests build their
+# reference parser from this table.
+_FUEL = ("fuel", 256, _budget)
+_WITNESS = ("witness_fuel", None, _budget)
+_FORMS = {
+    "eval": (cmd_eval, ("expr",), {"--prec": ("prec", 64, _budget), "--witness-fuel": _WITNESS,
+                                   "--format": ("fmt", "both", _format)}),
+    "sign": (cmd_sign, ("expr",), {"--fuel": _FUEL, "--witness-fuel": _WITNESS}),
+    "compare": (cmd_compare, ("a", "b"), {"--fuel": _FUEL, "--witness-fuel": _WITNESS}),
+}
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"-\d*\.?\d+$")
+
+
+class _UsageError(Exception):
+    """A command line that names no command with its arguments.  hint tells
+    whether a token before any -- reads as a flag of no command: it starts
+    with a minus but is neither a negative number nor a flag or the prefix
+    of one, as an expression with a leading minus does."""
+
+    def __init__(self, message, argv):
+        super().__init__(message)
+        head = argv[:argv.index("--")] if "--" in argv else argv
+        self.hint = any(all(_option(token, flags)[0] == "" for *_, flags in _FORMS.values())
+                        for token in head)
+
+
+def _option(token, flags):
+    """How token reads beside these flags and -h/--help: the flag it names,
+    in full or by a prefix that no other flag shares, "" for a flag that
+    names none, or None for an argument; and the text after the flag's =, or
+    None."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None, None
+    if token in flags or token in _HELP:
+        return token, None
+    name, equals, value = token.partition("=")
+    found = [flag for flag in (*_HELP, *flags) if flag.startswith(name)]
+    if name in found or len(found) == 1:
+        return (name if name in found else found[0]), (value if equals else None)
+    return None if _NEGATIVE_NUMBER.match(token) or " " in token else "", None
+
+
+def _read_argv(argv):
+    """The command argv names and its keyword arguments, or None for -h.
+
+    argv reads as Python 3.11's argparse reads it with the parser of
+    _FORMS, usage errors and their wording included, except that a -- ending
+    argv is dropped, and that a token such as -hh or --=8, which argparse
+    reads as help or as an ambiguous prefix, is an unknown flag.  Before the
+    command, -h asks for help and other flags are unrecognized; the first
+    other token, -- included, is the command.  After it, a flag takes the
+    text after its = or else the next token, unless that is a flag or --,
+    and keeps its last value; -h asks for help; other flags are
+    unrecognized.  Every other token, and every token after a --, fills the
+    next positional or is unrecognized, as is the -- itself where no
+    positional takes the token before or after it.
+    """
+    argv = argv[:-1] if argv[-1:] == ["--"] else argv
+    command, names, flags, args = None, ("command",), {}, {}
+    positionals, extras, took = [], [], False
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--" and command:
+            rest, room = list(tokens), len(names) - len(positionals)
+            if not (took or rest and room):
+                extras.append(token)
+            positionals += rest[:room]
+            extras += rest[room:]
+            break
+        flag, value = _option(token, flags)
+        if flag is None and not command:
+            if token not in _FORMS:
+                raise _UsageError("argument command: invalid choice: %r (choose from %s)"
+                                  % (token, ", ".join(map(repr, _FORMS))), argv)
+            command, (_, names, flags) = token, _FORMS[token]
+            args = {dest: default for dest, default, _ in flags.values()}
+            continue
+        took = flag is None and len(positionals) < len(names)
+        if not flag:
+            (positionals if took else extras).append(token)
+        elif flag in _HELP:
+            if value is None:
+                return None
+            raise _UsageError("argument -h/--help: ignored explicit argument %r" % value, argv)
+        else:
+            if value is None:
+                value = next(tokens, "--")
+                if value == "--" or _option(value, flags)[0] is not None:
+                    raise _UsageError("argument %s: expected one argument" % flag, argv)
+            dest, _, read = flags[flag]
+            try:
+                args[dest] = read(value)
+            except ValueError as exc:
+                raise _UsageError("argument %s: %s" % (flag, exc), argv) from None
+    if len(positionals) < len(names):
+        raise _UsageError("the following arguments are required: %s"
+                          % ", ".join(names[len(positionals):]), argv)
+    if extras:
+        raise _UsageError("unrecognized arguments: %s" % " ".join(extras), argv)
+    args.update(zip(names, positionals))
+    return command, args
+
+
 def main(argv=None, out=None, err=None):
     """Entry point; returns the exit code instead of raising SystemExit."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _read_argv(argv) or _build_parser().parse_args(argv)
-    except _Help as exc:
-        out.write(str(exc))
-        return EXIT_OK
+        read = _read_argv(sys.argv[1:] if argv is None else list(argv))
     except _UsageError as exc:
-        err.write("error=usage\n")
-        err.write("message=%s\n" % exc)
-        if argv and argv[-1] == "--" or _reads_as_flag(argv):
-            err.write("hint=put flags first, then --, then the expression\n")
+        hint = "hint=put flags first, then --, then the expression\n" if exc.hint else ""
+        err.write("error=usage\nmessage=%s\n%s" % (exc, hint))
         return EXIT_SYNTAX
+    if read is None:
+        # the help is this module's docstring; python -OO drops it, which
+        # leaves the commands
+        out.write(__doc__ or "usage: creal {eval,sign,compare} ...\n")
+        return EXIT_OK
+    command, args = read
     try:
-        if args.command == "eval":
-            return cmd_eval(args.expr, args.prec, args.witness_fuel, args.fmt, out)
-        if args.command == "sign":
-            return cmd_sign(args.expr, args.fuel, args.witness_fuel, out)
-        return cmd_compare(args.a, args.b, args.fuel, args.witness_fuel, out)
+        return _FORMS[command][0](out=out, **args)
     except ParseError as exc:
-        err.write("error=syntax\n")
-        if args.command == "compare":
-            err.write("operand=%s\n" % exc.operand)
-        err.write("position=%d\n" % exc.position)
-        err.write("message=%s\n" % exc)
+        operand = "operand=%s\n" % exc.operand if command == "compare" else ""
+        err.write("error=syntax\n%sposition=%d\nmessage=%s\n" % (operand, exc.position, exc))
         return EXIT_SYNTAX
     except WitnessSearchError as exc:
-        err.write("error=witness\n")
-        err.write("fuel=%d\n" % exc.fuel)
-        err.write("message=%s\n" % exc)
+        err.write("error=witness\nfuel=%d\nmessage=%s\n" % (exc.fuel, exc))
         return EXIT_WITNESS
     except MemoryError:
-        err.write("error=memory\n")
-        err.write("message=out of memory; try a smaller --prec or --fuel\n")
+        err.write("error=memory\nmessage=out of memory; try a smaller --prec or --fuel\n")
         return EXIT_SYNTAX
     except RecursionError:
-        err.write("error=depth\n")
-        err.write("message=nested too deep to evaluate at the recursion limit\n")
+        err.write("error=depth\nmessage=nested too deep to evaluate at the recursion limit\n")
         return EXIT_SYNTAX
 
 

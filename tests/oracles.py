@@ -7,13 +7,17 @@ asserts against these, agreement means two separate routes reached the same
 answer.  The one exception is the old compositions of |x| and of a
 reciprocal by a negative witness, out of the package's own operations: the
 one-node rules that replaced them must answer bit for bit as they did.
+The command-line reference is argparse itself, given the table of forms
+that the package's own reader reads.
 """
 
+import argparse
 import math
 import threading
 
 from fractions import Fraction
 
+from cauchyreal import cli
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
                                     Neg, ParseError, RatLit, Sub, tokenize)
 from cauchyreal.partiality import (PENDING, STAR, TOP, Done, Partial, _Never, _Now,
@@ -320,3 +324,58 @@ def parse(text):
     if tail[0] != "end":
         parser.fail(tail)
     return node
+
+
+class ArgparseUsageError(Exception):
+    """A usage error of the reference parser, with argparse's message."""
+
+
+class _Help(Exception):
+    pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    # usage errors and -h raise instead of printing and exiting
+    def error(self, message):
+        raise ArgparseUsageError(message)
+
+    def print_help(self, file=None):
+        raise _Help
+
+
+def _argparse_type(read):
+    """read as an argparse type: its ValueError's text becomes the message."""
+    def convert(text):
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+def _build_argparse_parser():
+    """The argparse parser of cli._FORMS: a subcommand for each command, with
+    its positionals and its flags."""
+    parser = _ArgumentParser(prog="creal")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (_, names, flags) in cli._FORMS.items():
+        sub = commands.add_parser(command)
+        for name in names:
+            sub.add_argument(name)
+        for flag, (dest, default, read) in flags.items():
+            sub.add_argument(flag, dest=dest, default=default, type=_argparse_type(read))
+    return parser
+
+
+ARGPARSE_PARSER = _build_argparse_parser()
+
+
+def argparse_read(argv):
+    """What argparse reads argv as, in cli._read_argv's terms: the command and
+    its keyword arguments, or None for a help request; a usage error raises
+    ArgparseUsageError."""
+    try:
+        args = vars(ARGPARSE_PARSER.parse_args(argv))
+    except _Help:
+        return None
+    return args.pop("command"), args
