@@ -1,7 +1,9 @@
-"""Expression front end: AST, tokenizer, parser, printer, and evaluation of
+"""Expression front end: AST, lexer, parser, printer, and evaluation of
 an expression, or of its text, into a real.
 
-Text becomes tokens, and the tokens one postfix order: a triple (class,
+Text becomes leaf-level lexemes in one regex scan: each literal, p/q
+included, and each well-formed below(...) is one lexeme, as is each symbol
+and name.  The lexemes become one postfix order: a triple (class,
 numerator, denominator) for each literal and below(...), its integers in
 lowest terms, and each operation's node class after its operands.  A
 shunting-yard loop makes that order, with pending operators and open frames
@@ -126,14 +128,26 @@ class WitnessSearchError(ArithmeticError):
 
 
 _SYMBOLS = "+-*/(),"
-_NUMBER = re.compile("[0-9]+(?:[.][0-9]+)?")   # a number token as typed
+
+# One lexeme: blanks, then a whole leaf, a symbol or name or stray character,
+# or the end of the text.  A leaf is an integer, a decimal or integer/integer,
+# alone or inside below( [-] ... ).  The denominator is nonzero with no digit
+# or .digit after it, so 1/0, 1/2.5 and 2.5/2 stay divisions.  No two
+# quantifiers can match the same characters next to each other, and the end
+# takes a trailing blank run whole, so every scan runs in linear time.
+_LEXEME = re.compile(r"\s*(?:(?:(below)\s*\(\s*(?:(-)\s*)?)?([0-9]+)"
+                     r"(?:\.([0-9]+)|\s*/\s*(0*[1-9][0-9]*)(?![0-9]|\.[0-9]))?(?(1)\s*\))"
+                     r"|([-+*/(),]|[A-Za-z]+|.)|\Z)", re.DOTALL)
 
 
 def tokenize(text):
-    """Split text into (kind, value, position) tokens.
+    """Split text into (kind, value, position) tokens: the grammar's
+    token-level view, which the recursive-descent reference parser of the
+    tests reads.  It is not on the answering path: parse, build_real and
+    the CLI read _LEXEME's leaf-level lexemes instead.
 
     Kinds: 'int' carries an int and 'dec' an exact Fraction, of any length,
-    and the distinction lets the parser fold p/q literals; 'name' carries an
+    and the distinction lets a parser fold p/q literals; 'name' carries an
     identifier; 'sym' one of + - * / ( ) ,; 'end' marks exhaustion.
     """
     tokens = []
@@ -174,34 +188,37 @@ def tokenize(text):
     return tokens
 
 
-def _fail(text, tok):
-    """Raise the ParseError for tok, showing a number as it was typed."""
-    kind, value, position = tok
-    if kind == "end":
+def _fail(text, index, message="unexpected token '%s'"):
+    """Raise the ParseError for lexeme number index of text, found again by
+    _LEXEME.finditer: the first stray character's, if text has one, as
+    tokenize reports it, or else message with the lexeme's first token as
+    typed, at its position."""
+    lexemes = [*_LEXEME.finditer(text)]
+    for lexeme in lexemes:
+        word = lexeme[6]
+        if word and word not in _SYMBOLS and word[0] not in ascii_letters:
+            raise ParseError("unexpected character %r" % word, lexeme.start(6))
+    lexeme = lexemes[index]
+    position = lexeme.end() - len(lexeme[0].lstrip())
+    below, _, whole, decimals, _, word = lexeme.groups("")
+    if not (below or whole or word):
         raise ParseError("unexpected end of input", position)
-    shown = value if kind in ("name", "sym") else _NUMBER.match(text, position).group()
-    raise ParseError("unexpected token '%s'" % shown, position)
+    shown = below or word or (whole + "." + decimals if decimals else whole)
+    raise ParseError(message % shown, position)
 
 
-def _literal(text, tokens, i):
-    """The number at tokens[i] as a pair (numerator, denominator) in lowest
-    terms, and the index after it.  integer/integer folds into one rational,
-    for nonzero denominators only: p/0 stays a division and fails at
-    evaluation."""
-    kind, value, _ = tokens[i]
-    if kind == "int":
-        if tokens[i + 1][1] == "/" and tokens[i + 2][0] == "int" and tokens[i + 2][1]:
-            d = tokens[i + 2][1]
-            g = gcd(value, d)
-            return value // g, d // g, i + 3
-        return value, 1, i + 1
-    if kind != "dec":
-        _fail(text, tokens[i])
-    return value.numerator, value.denominator, i + 1
+def _bad_below(text, lexemes, i):
+    """Fail at the first lexeme from number i on that breaks ( [-] literal ),
+    the rest of a below(...) that _LEXEME could not read whole."""
+    if lexemes[i][5] == "(":
+        i += 1 + (lexemes[i + 1][5] == "-")
+        if lexemes[i][2] and not lexemes[i][0]:
+            i += 1
+    _fail(text, i)
 
 
-# Only 'sym' tokens carry a str of punctuation, so the parser tells symbols
-# apart by the token's value alone.  The pending stack holds Neg, pairs
+# A lexeme's word is a symbol, a name or a stray, so the parser tells
+# symbols apart by the word alone.  The pending stack holds Neg, pairs
 # (binding, node class) for binary operators, which associate left, and
 # triples (0, node class, closer) for open frames, whose binding 0 stops
 # every reduction.  A group's frame has no class.  max and min close their
@@ -217,56 +234,57 @@ def _postfix(text):
     Raises ParseError with a position on bad input.
 
     The order, and the failing token and message, are the grammar's
-    recursive descent's: an operator leaves the pending stack when the next
-    token closes it."""
-    tokens = tokenize(text)
+    recursive descent's on tokenize's tokens: an operator leaves the
+    pending stack when the next lexeme closes it.  Lexemes are read by
+    index, each a tuple of _LEXEME's groups: (below, minus, integer,
+    decimal digits, denominator, word), '' where absent; the end's are all
+    ''."""
+    lexemes = _LEXEME.findall(text)
     order = []
     pending = []
     i = 0
     while True:
         # Prefix minuses and frame openers, up to one operand.
-        tok = tokens[i]
-        kind, value, _ = tok
-        if kind == "sym":
-            i += 1
-            if value == "-":
+        below, minus, whole, decimals, den, word = lexemes[i]
+        i += 1
+        if not whole:
+            if word == "-":
                 pending.append(Neg)
-            elif value == "(":
+            elif word == "(":
                 pending.append((0, None, ")"))
-            else:
-                _fail(text, tok)
-            continue
-        if kind == "name":
-            frame = _FUNCTIONS.get(value)
-            if frame is None and value != "below":
-                raise ParseError("unknown function '%s'" % value, tok[2])
-            if tokens[i + 1][1] != "(":
-                _fail(text, tokens[i + 1])
-            i += 2
-            if frame is not None:
-                pending.append(frame)
-                continue
-            negative = tokens[i][1] == "-"
-            if negative:
+            elif word in _FUNCTIONS:
+                if lexemes[i][5] != "(":
+                    _fail(text, i)
                 i += 1
-            n, d, i = _literal(text, tokens, i)
-            if tokens[i][1] != ")":
-                _fail(text, tokens[i])
-            i += 1
-            order.append((FromBelow, -n if negative else n, d))
+                pending.append(_FUNCTIONS[word])
+            elif word == "below":
+                _bad_below(text, lexemes, i)
+            else:
+                _fail(text, i - 1, "unknown function '%s'" if word.isalpha()
+                      else "unexpected token '%s'")
+            continue
+        if decimals:
+            n = parse_int(whole + decimals)
+            d = 10 ** len(decimals)
         else:
-            n, d, i = _literal(text, tokens, i)
-            order.append((RatLit, n, d))
+            n = parse_int(whole)
+            d = parse_int(den) if den else 1
+        if d != 1:
+            g = gcd(n, d)
+            n //= g
+            d //= g
+        order.append((FromBelow, -n if minus else n, d) if below else (RatLit, n, d))
         # An operand is done: apply its prefix minuses, then reduce what the
-        # next token closes, until that token needs another operand.  Once
+        # next lexeme closes, until that lexeme needs another operand.  Once
         # the minuses are applied no Neg is on top, and none ever lies right
         # under an operator, so pending[-1][0] reads only tuples.
         while True:
             while pending and pending[-1] is Neg:
                 order.append(pending.pop())
-            tok = tokens[i]
+            lexeme = lexemes[i]
+            word = lexeme[5]
             i += 1
-            binary = _BINARY.get(tok[1]) if tok[0] == "sym" else None
+            binary = _BINARY.get(word)
             if binary is not None:
                 binding = binary[0]
                 while pending and pending[-1][0] >= binding:
@@ -276,12 +294,12 @@ def _postfix(text):
             while pending and pending[-1][0]:
                 order.append(pending.pop()[1])
             if not pending:
-                if tok[0] != "end":
-                    _fail(text, tok)
+                if any(lexeme):  # anything but the end
+                    _fail(text, i - 1)
                 return order
             _, cls, closer = pending.pop()
-            if tok[1] != closer:
-                _fail(text, tok)
+            if word != closer:
+                _fail(text, i - 1)
             if closer == ",":
                 pending.append((0, cls, ")"))
                 break

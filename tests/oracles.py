@@ -326,6 +326,15 @@ def parse(text):
     return node
 
 
+def parse_outcome(parse_text, text):
+    """The AST parse_text makes of text, or its ParseError's message and
+    position."""
+    try:
+        return parse_text(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
 class ArgparseUsageError(Exception):
     """A usage error of the reference parser, with argparse's message."""
 

@@ -1,4 +1,5 @@
 import sys
+import time
 
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from cauchyreal import (ParseError, WitnessSearchError, build_real, dyadic, expr
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
                                     Neg, RatLit, Sub, tokenize)
 
-from oracles import eval_exact
+from oracles import eval_exact, parse as recursive_parse, parse_outcome
 
 
 def test_tokenize_positions_and_kinds():
@@ -82,6 +83,44 @@ def test_syntax_error_positions():
         parse("1 2")
     with pytest.raises(ParseError):
         parse("below(1 + 2)")
+
+
+@pytest.mark.parametrize("text, message, position", [
+    # a below(...) that is not one whole leaf fails at the first token that
+    # breaks below ( [-] literal )
+    ("below(1/0)", "unexpected token '/'", 7),
+    ("below(1/2 3)", "unexpected token '3'", 10),
+    ("below(--1)", "unexpected token '-'", 7),
+    ("below(below(1))", "unexpected token 'below'", 6),
+    # an unexpected leaf shows its first token
+    ("2 below(1)", "unexpected token 'below'", 2),
+    ("max 1/2", "unexpected token '1'", 4),
+    # a stray character comes before any syntax error
+    ("1/2.", "unexpected character '.'", 3),
+    ("1 + + $", "unexpected character '$'", 6),
+    ("2.5.5", "unexpected character '.'", 3),
+    ("", "unexpected end of input", 0),
+    ("   ", "unexpected end of input", 3),
+])
+def test_syntax_error_messages_and_positions(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == "%s (at position %d)" % (message, position)
+    assert info.value.position == position
+
+
+def test_long_blank_and_zero_runs_read_in_linear_time():
+    # a pattern whose quantifiers can split one run between them backtracks
+    # for minutes on runs this long
+    run = " " * 100000
+    zeros = "0" * 100000
+    texts = ["1" + run, "below(" + run + "x", "below(-" + run + "x",
+             "1" + run + "/" + run + "2", "1" + run + "/" + run + "x",
+             "1/" + zeros, "1/" + zeros + "x"]
+    start = time.perf_counter()
+    for text in texts:
+        assert parse_outcome(parse, text) == parse_outcome(recursive_parse, text)
+    assert time.perf_counter() - start < 2
 
 
 def test_round_trip_on_corpus(corpus):

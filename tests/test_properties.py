@@ -27,12 +27,12 @@ from cauchyreal import (PENDING, ApartnessWitness, CompletionPoint, Done, absolu
                         signed_sum, sub)
 from cauchyreal.cli import cmd_eval, decimal_digits, format_decimal
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
-                                    Neg, ParseError, RatLit, Sub)
+                                    Neg, RatLit, Sub)
 from cauchyreal.rational import ceil_log2
 from cauchyreal.reals import _apart
 
 from oracles import (composed_absolute, composed_recip_witnessed, eval_exact, full_scan_lt,
-                     linear_witness, parse as recursive_parse)
+                     linear_witness, parse as recursive_parse, parse_outcome)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None,
                              max_examples=100)
@@ -126,23 +126,17 @@ def test_chains_build_from_text_as_from_the_ast(text):
     _same_build(text)
 
 
-def _parsed(parse_text, text):
-    """The AST, or the ParseError's message and position."""
-    try:
-        return parse_text(text)
-    except ParseError as exc:
-        return str(exc), exc.position
-
-
 @PROPERTY_SETTINGS
 @given(expressions(5, divisors=_NATURALS))
 def test_stack_parser_reads_printed_asts_as_the_recursive_parser_does(node):
     text = format_expr(node)
-    assert _parsed(parse, text) == _parsed(recursive_parse, text)
+    assert parse_outcome(parse, text) == parse_outcome(recursive_parse, text)
 
 
 _TOKENS = ("1", "0", "7", "1/0", "3/4", "2.5", "-", "+", "*", "/", ",", "(", ")",
-           "max", "min", "abs", "below", "spam")
+           "max", "min", "abs", "below", "spam",
+           # where a whole leaf ends or fails to
+           "1/02", "1/00", "1/2.5", "2.", ".", "$", "below(", "below(-", " / ", "\t")
 _WORDS = st.one_of(
     expressions(2).map(lambda node: re.findall(r"[\d.]+|[a-z]+|\S", format_expr(node))),
     st.lists(st.sampled_from(_TOKENS), max_size=16))
@@ -151,20 +145,20 @@ _WORDS = st.one_of(
 @st.composite
 def garbled_text(draw):
     """Printed expressions with a few runs of tokens replaced by others, and
-    strings of the grammar's tokens in any order, joined with or without
-    spaces."""
+    strings of the grammar's tokens in any order, joined by one run of
+    blanks, which may be empty."""
     words = draw(_WORDS)
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         start = draw(st.integers(min_value=0, max_value=len(words)))
         end = start + draw(st.integers(min_value=0, max_value=2))
         words[start:end] = draw(st.lists(st.sampled_from(_TOKENS), max_size=2))
-    return draw(st.sampled_from((" ", ""))).join(words)
+    return draw(st.text(" \t\n\u00a0", max_size=3)).join(words)
 
 
-@settings(PROPERTY_SETTINGS, max_examples=300)
+@settings(PROPERTY_SETTINGS, max_examples=1000)
 @given(garbled_text())
 def test_stack_parser_fails_where_the_recursive_parser_does(text):
-    assert _parsed(parse, text) == _parsed(recursive_parse, text)
+    assert parse_outcome(parse, text) == parse_outcome(recursive_parse, text)
 
 
 def test_negative_literal_prints_as_a_negation():
