@@ -8,12 +8,14 @@ numerator, denominator) for each literal and below(...), its integers in
 lowest terms, and each operation's node class after its operands.  A
 shunting-yard loop makes that order, with pending operators and open frames
 on an explicit stack, and one post-order walk, also on an explicit stack,
-makes the same order from an AST.  parse, format_expr and build_real are
-three folds of the order on a stack of results: AST nodes, text and reals.
-So parsing, printing and building have no depth limit, and building from
-text makes no AST.  A literal's triple is build_real's key for sharing it,
-so a Fraction is made only for the first leaf of each value.  build_real
-makes a chain of + and - one signed sum of all its terms, so a sum of any
+makes the same order from an AST.  parse and format_expr fold the order
+on a stack of results, AST nodes and text (_fold); build_real reads it in a
+loop of its own on a stack of reals (_build).  So parsing, printing and
+building have no depth limit, and building from text makes no AST.  A
+literal's triple is build_real's key for sharing it, and its leaf is made
+from the integer pair alone, once per value: a literal's Fraction is its
+exact tag, and a below(...) leaf makes no Fraction.  build_real makes a
+chain of + and - one signed sum of all its terms, so a sum of any
 length evaluates in one frame.  Approximating other nesting still recurses,
 one frame per level (CompletionPoint.scaled reads an operation's operands),
 so about 990 levels of it evaluate at the default recursion limit, and
@@ -47,8 +49,8 @@ from math import gcd
 from string import ascii_letters, digits
 
 from .rational import _coprime, format_rat, parse_int
-from .reals import (absolute, find_apart_witness, from_below, from_rat, join, meet,
-                    mul, neg, recip_witnessed, signed_sum)
+from .reals import (CReal, _below, absolute, find_apart_witness, join, meet, mul, neg,
+                    recip_witnessed, signed_sum)
 
 
 @dataclass(frozen=True)
@@ -337,7 +339,8 @@ def _fold(order, leaf, operation):
     """Reduce a postfix order on a stack of results: leaf(cls, n, d) for
     each literal n/d, and operation(cls, *results) of each operation's
     operands.  Results are made left to right, so a left operand's before a
-    right."""
+    right.  parse and format_expr fold with it; they are off the CLI's
+    answering path, and _build reads the order in a loop of its own."""
     results = []
     for item in order:
         if type(item) is tuple:
@@ -360,7 +363,8 @@ def _node_leaf(cls, n, d):
 
 def parse(text):
     """Parse an expression into its AST; raises ParseError with a position
-    on bad input."""
+    on bad input.  The CLI does not call it: build_real reads text straight
+    into its postfix order."""
     return _fold(_postfix(text), _node_leaf, _node)
 
 
@@ -372,14 +376,15 @@ def _divide(numer, denom, witness_fuel):
 
 
 # Node class -> (print template, reals operation).  A literal's operation
-# takes its rational; the others take their operands' reals, and division
-# also the witness budget.  + and - have only a template: _build makes every
-# chain of them one signed sum.  Binary operations print fully
-# parenthesized, and a division's right operand gets its own parentheses so
-# an integer/integer pair is not re-folded into a literal.
+# takes its numerator and denominator in lowest terms; the others take their
+# operands' reals, and division also the witness budget.  + and - have only
+# a template: _build makes every chain of them one signed sum.  Binary
+# operations print fully parenthesized, and a division's right operand gets
+# its own parentheses so an integer/integer pair is not re-folded into a
+# literal.
 _NODES = {
-    RatLit: ("%s", from_rat),
-    FromBelow: ("below(%s)", from_below),
+    RatLit: ("%s", lambda n, d: CReal(exact=_coprime(n, d))),
+    FromBelow: ("below(%s)", _below),
     Neg: ("-%s", neg),
     Abs: ("abs(%s)", absolute),
     Add: ("(%s + %s)",),
@@ -389,10 +394,6 @@ _NODES = {
     Max: ("max(%s, %s)", join),
     Min: ("min(%s, %s)", meet),
 }
-
-# The sign of the right operand of a + or -.
-_SIGNS = {Add: True, Sub: False}
-
 
 def _print_leaf(cls, n, d):
     return _NODES[cls][0] % format_rat(_coprime(n, d))
@@ -408,6 +409,7 @@ def format_expr(node):
     That holds for every AST the parser makes.  The parser makes negative
     literals only inside below(...); elsewhere a negative RatLit prints as
     -p/q, which parses as Neg of the positive literal, the same value.
+    Like parse, it is off the CLI's answering path.
     """
     return _fold(_postorder(node), _print_leaf, _print_operation)
 
@@ -436,8 +438,11 @@ def build_real(expr, witness_fuel=64):
     its operands' reals) and a chain's (signs, ids of its terms' reals) to
     the real built for it; it holds every real whose id it uses, so no id
     is reused while it lives.  A leaf's key is its triple in the postfix
-    order, and its Fraction is made only when the key is new.  A key costs
-    O(1) per node, where hashing the AST would cost its size.
+    order itself, and its real is made from the triple's integers only when
+    the key is new: a literal makes one Fraction, its exact tag, and a
+    below(...) leaf none (reals._below).  A key costs O(1) per node, where
+    hashing the AST would cost its size.  _build reads the order in one loop
+    of its own, not through _fold's callbacks.
 
     Left operands, and so their witness searches, are built first.
     """
@@ -445,47 +450,52 @@ def build_real(expr, witness_fuel=64):
                   witness_fuel)
 
 
+def _close(result, shared):
+    """The real of a result of _build: an open chain [signs, term, term,
+    ...] is closed into one signed sum, shared by its signs and terms."""
+    if type(result) is not list:
+        return result
+    signs, *terms = result
+    signs = tuple(signs)
+    key = (signs, tuple(map(id, terms)))
+    real = shared.get(key)
+    if real is None:
+        real = shared[key] = signed_sum(terms, signs)
+    return real
+
+
 def _build(order, witness_fuel):
-    """The real of a postfix order, as build_real describes it."""
+    """The real of a postfix order, as build_real describes it: _fold's
+    loop, on a stack of reals and open chains, with each step written
+    inline rather than called."""
     shared = {}
-
-    def leaf(*key):
-        real = shared.get(key)
-        if real is None:
-            cls, n, d = key
-            real = shared[key] = _NODES[cls][1](_coprime(n, d))
-        return real
-
-    def close(result):
-        # The real of a result: an open chain [signs, term, term, ...] is
-        # closed into one signed sum.
-        if type(result) is not list:
-            return result
-        signs, *terms = result
-        signs = tuple(signs)
-        key = (signs, tuple(map(id, terms)))
-        real = shared.get(key)
-        if real is None:
-            real = shared[key] = signed_sum(terms, signs)
-        return real
-
-    def operation(cls, *operands):
-        plus = _SIGNS.get(cls)
-        if plus is None:
-            # The shared real of the operation cls on its operands' reals.
-            operands = [*map(close, operands)]
-            key = (cls, *map(id, operands))
+    results = []
+    for item in order:
+        if type(item) is tuple:
+            real = shared.get(item)
+            if real is None:
+                cls, n, d = item
+                real = shared[item] = _NODES[cls][1](n, d)
+            results.append(real)
+        elif item is Add or item is Sub:
+            right = _close(results.pop(), shared)
+            left = results[-1]
+            if type(left) is list:
+                left[0].append(item is Add)
+                left.append(right)
+            else:
+                results[-1] = [[True, item is Add], left, right]
+        else:
+            if item is Neg or item is Abs:
+                operands = (_close(results.pop(), shared),)
+            else:
+                right = results.pop()
+                operands = (_close(results.pop(), shared), _close(right, shared))
+            key = (item, *map(id, operands))
             real = shared.get(key)
             if real is None:
-                make = _NODES[cls][1]
+                make = _NODES[item][1]
                 real = shared[key] = (make(*operands, witness_fuel) if make is _divide
                                       else make(*operands))
-            return real
-        left, right = operands
-        if type(left) is not list:
-            return [[True, plus], left, close(right)]
-        left[0].append(plus)
-        left.append(close(right))
-        return left
-
-    return close(_fold(order, leaf, operation))
+            results.append(real)
+    return _close(results[0], shared)

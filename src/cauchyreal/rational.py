@@ -56,12 +56,17 @@ def ceil_log2(n, d):
 
 
 # A Fraction from a coprime numerator and positive denominator, without the
-# constructor's gcd; the private spelling differs between Python versions.
+# constructor's gcd.  3.12 spells it _from_coprime_ints; before that, the
+# same two slot stores skip Fraction.__new__, which parses its arguments in
+# Python even with _normalize=False.
 if hasattr(Fraction, "_from_coprime_ints"):  # 3.12 and later
     _coprime = Fraction._from_coprime_ints
 else:  # 3.10 and 3.11
     def _coprime(n, d):
-        return Fraction(n, d, _normalize=False)
+        q = object.__new__(Fraction)
+        q._numerator = n
+        q._denominator = d
+        return q
 
 
 def dyadic_rat(m, k):

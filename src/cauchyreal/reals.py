@@ -52,7 +52,7 @@ from fractions import Fraction
 
 from .completion import CompletionPoint, _magnitude, _operation, eta
 from .partiality import PENDING, TOP, map_partial, monotone_sup, never, now
-from .rational import QPos, ceil_log2, dyadic, round_div
+from .rational import QPos, _coprime, ceil_log2, dyadic, round_div
 
 CReal = CompletionPoint
 
@@ -72,12 +72,19 @@ def from_below(q):
     path rounds the same approximant at 2**-(k+1), which is q - 2**-(k+2),
     to floor(q * 2**k + 1/4), without building the family; that is q * 2**k
     whenever q sits on the grid 2**-k, so scaled, and whatever is computed
-    from it, may report q itself.
+    from it, may report q itself.  The point keeps q's numerator and
+    denominator, and only approximate makes Fractions of them, so an
+    expression's below() leaf, this point made from its integer pair
+    (_below), makes none on the integer path.
     """
     if type(q) is not Fraction:
         q = Fraction(q)
-    n, d = q.numerator, q.denominator
-    return CompletionPoint(lambda eps: q - _HALF * eps,
+    return _below(q.numerator, q.denominator)
+
+
+def _below(n, d):
+    """from_below(n/d), for integers n and d > 0 in lowest terms."""
+    return CompletionPoint(lambda eps: _coprime(n, d) - _HALF * eps,
                            scaled=lambda k: ((n << (k + 2)) + d) // (4 * d))
 
 
@@ -147,6 +154,10 @@ _PAIRS = {
 }
 _PAIR_MAGNITUDE = _wider(1)
 
+# The integer rules of neg, join, meet and absolute, shared as _PAIRS are.
+_NEGATED, _LARGER, _SMALLER, _ABSOLUTE = (
+    lambda k, m: -m, lambda k, m, n: max(m, n), lambda k, m, n: min(m, n), lambda k, m: abs(m))
+
 
 def add(x, y):
     """x + y, the signed sum of two terms: each operand at k+2, and
@@ -162,24 +173,24 @@ def sub(x, y):
 
 def neg(x):
     """-x: the operand's answer at k, negated; no rounding."""
-    return _operation(lambda a: -a, lambda k, m: -m, (x, 0), magnitude=max)
+    return _operation(lambda a: -a, _NEGATED, (x, 0), magnitude=max)
 
 
 def join(x, y):
     """Lattice join max(x, y): the operands at k.  max is non-expanding in
     the larger of the two errors, so no rounding is needed."""
-    return _operation(max, lambda k, m, n: max(m, n), (x, 0), (y, 0), magnitude=max)
+    return _operation(max, _LARGER, (x, 0), (y, 0), magnitude=max)
 
 
 def meet(x, y):
     """Lattice meet min(x, y): the operands at k, as for join."""
-    return _operation(min, lambda k, m, n: min(m, n), (x, 0), (y, 0), magnitude=max)
+    return _operation(min, _SMALLER, (x, 0), (y, 0), magnitude=max)
 
 
 def absolute(x):
     """|x|: the operand's answer at k, made absolute, with no rounding; one
     node where join(x, -x) is two."""
-    return _operation(abs, lambda k, m: abs(m), (x, 0), magnitude=max)
+    return _operation(abs, _ABSOLUTE, (x, 0), magnitude=max)
 
 
 def scale(q, x):

@@ -1,3 +1,4 @@
+import math
 import sys
 import time
 
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cauchyreal import (ParseError, WitnessSearchError, build_real, dyadic, expressions,
-                        format_expr, parse)
+                        format_expr, from_below, parse)
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
                                     Neg, RatLit, Sub, tokenize)
 
@@ -148,6 +149,25 @@ def test_build_real_from_below_rule():
     assert point.approximate(eps) == 5 - eps / 2
 
 
+@pytest.mark.parametrize("text, q", [
+    ("below(2/4)", Fraction(1, 2)), ("below(-7/3)", Fraction(-7, 3)), ("below(0)", Fraction(0)),
+    ("below(5)", Fraction(5)), ("below(-1.250)", Fraction(-5, 4)),
+    ("below(%d/%d)" % (10 ** 40 + 1, 3 ** 90), Fraction(10 ** 40 + 1, 3 ** 90)),
+])
+def test_below_leaf_from_text_answers_as_from_below(text, q):
+    # the leaf is made from the order's integer pair, with no Fraction; it
+    # answers what the public from_below of the Fraction answers, which is
+    # floor(q * 2**k + 1/4) and q - eps/2 (finest eps last, so no memo serves)
+    leaf, reference = build_real(text), from_below(q)
+    for k in range(201):
+        assert leaf.scaled(k) == reference.scaled(k) == math.floor(q * 2 ** k + Fraction(1, 4))
+    for eps in (Fraction(5), Fraction(1), dyadic(1), Fraction(1, 3), dyadic(64),
+                Fraction(1, 10 ** 30)):
+        answer = leaf.approximate(eps)
+        assert type(answer) is Fraction
+        assert answer == reference.approximate(eps) == q - eps / 2 != q
+
+
 def test_build_real_witness_failure():
     with pytest.raises(WitnessSearchError) as info:
         build_real(parse("1/(1-1)"), witness_fuel=72)
@@ -227,15 +247,15 @@ def test_equal_literals_build_one_leaf(monkeypatch, text):
     for cls in (RatLit, FromBelow):
         template, operation = expressions._NODES[cls]
 
-        def counting(q, operation=operation):
-            built.append(q)
-            return operation(q)
+        def counting(n, d, operation=operation):
+            built.append((n, d))
+            return operation(n, d)
 
         monkeypatch.setitem(expressions._NODES, cls, (template, counting))
     for expr in (text, parse(text)):
         built.clear()
         point = build_real(expr)
-        assert len(built) == 1 and type(built[0]) is Fraction
+        assert len(built) == 1 and Fraction(*built[0]).as_integer_ratio() == built[0]
         eps = dyadic(20)
         assert abs(point.approximate(eps) - eval_exact(parse(text))) <= eps
 

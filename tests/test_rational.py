@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cauchyreal import QPos, Rat, close_q, dyadic, format_rat
+from cauchyreal.rational import _coprime
 
 from oracles import add_pair, as_pair, div_pair, mul_pair, sub_pair
 
@@ -129,3 +131,37 @@ def test_arithmetic_against_integer_oracle():
             assert as_pair(a / b) == div_pair(pa, pb)
         n, d = as_pair(a + b)
         assert d > 0 and math.gcd(abs(n), d) == 1
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+def _round_trip(q):
+    back = pickle.loads(pickle.dumps(q))
+    return type(back), back, hash(back)
+
+
+@pytest.mark.parametrize("n, d", [
+    (3, 4), (-3, 4), (0, 1), (-7, 1), (10 ** 4400 + 1, 3 ** 9300), (-(3 ** 9300), 10 ** 4400 + 1),
+], ids=["positive", "negative", "zero", "negative_integer", "long", "long_negative"])
+def test_coprime_is_the_fraction_of_its_pair(n, d):
+    # _coprime skips the constructor in a way that depends on the Python
+    # version; on each it must make the very Fraction(n, d).  Past 4,300
+    # digits repr and str raise int's ValueError, on both alike, and so does
+    # pickling up to 3.10, which reads str
+    q, r = _coprime(n, d), Fraction(n, d)
+    assert type(q) is Fraction and q == r and hash(q) == hash(r)
+    assert (q.numerator, q.denominator) == (n, d)
+    assert _outcome(repr, q) == _outcome(repr, r)
+    assert _outcome(str, q) == _outcome(str, r)
+    third = Fraction(-1, 3)
+    assert ([q + third, q - third, q * third, q / third, third / (q + 1), -q, abs(q), q ** 2,
+             q < third, float(q), math.floor(q), round(q, 3)]
+            == [r + third, r - third, r * third, r / third, third / (r + 1), -r, abs(r), r ** 2,
+                r < third, float(r), math.floor(r), round(r, 3)])
+    assert _outcome(_round_trip, q) == _outcome(_round_trip, r)
