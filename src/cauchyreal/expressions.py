@@ -1,5 +1,5 @@
-"""Expression front end: AST, lexer, parser, printer, and evaluation of
-an expression, or of its text, into a real.
+"""Expression front end: AST, one lexeme scan, parser, printer, and
+evaluation of an expression, or of its text, into a real.
 
 Text becomes leaf-level lexemes in one regex scan: each literal, p/q
 included, and each well-formed below(...) is one lexeme, as is each symbol
@@ -46,7 +46,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from string import ascii_letters, digits
+from string import ascii_letters
 
 from .rational import _coprime, format_rat, parse_int
 from .reals import (CReal, _below, absolute, find_apart_witness, join, meet, mul, neg,
@@ -142,59 +142,11 @@ _LEXEME = re.compile(r"\s*(?:(?:(below)\s*\(\s*(?:(-)\s*)?)?([0-9]+)"
                      r"|([-+*/(),]|[A-Za-z]+|.)|\Z)", re.DOTALL)
 
 
-def tokenize(text):
-    """Split text into (kind, value, position) tokens: the grammar's
-    token-level view, which the recursive-descent reference parser of the
-    tests reads.  It is not on the answering path: parse, build_real and
-    the CLI read _LEXEME's leaf-level lexemes instead.
-
-    Kinds: 'int' carries an int and 'dec' an exact Fraction, of any length,
-    and the distinction lets a parser fold p/q literals; 'name' carries an
-    identifier; 'sym' one of + - * / ( ) ,; 'end' marks exhaustion.
-    """
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _SYMBOLS:
-            tokens.append(("sym", c, i))
-            i += 1
-            continue
-        if c in digits:
-            start = i
-            while i < n and text[i] in digits:
-                i += 1
-            if i < n and text[i] == "." and i + 1 < n and text[i + 1] in digits:
-                point = i
-                i += 1
-                while i < n and text[i] in digits:
-                    i += 1
-                value = Fraction(parse_int(text[start:point] + text[point + 1:i]),
-                                 10 ** (i - point - 1))
-                tokens.append(("dec", value, start))
-            else:
-                tokens.append(("int", parse_int(text[start:i]), start))
-            continue
-        if c in ascii_letters:
-            start = i
-            while i < n and text[i] in ascii_letters:
-                i += 1
-            tokens.append(("name", text[start:i], start))
-            continue
-        raise ParseError("unexpected character %r" % c, i)
-    tokens.append(("end", None, n))
-    return tokens
-
-
 def _fail(text, index, message="unexpected token '%s'"):
     """Raise the ParseError for lexeme number index of text, found again by
-    _LEXEME.finditer: the first stray character's, if text has one, as
-    tokenize reports it, or else message with the lexeme's first token as
-    typed, at its position."""
+    _LEXEME.finditer.  A stray character anywhere in text is reported
+    first, at its position; otherwise the error is message with the
+    lexeme's first token as typed, at its position."""
     lexemes = [*_LEXEME.finditer(text)]
     for lexeme in lexemes:
         word = lexeme[6]
@@ -235,12 +187,14 @@ def _postfix(text):
     below(...), and each operation's node class after its operands.
     Raises ParseError with a position on bad input.
 
-    The order, and the failing token and message, are the grammar's
-    recursive descent's on tokenize's tokens: an operator leaves the
-    pending stack when the next lexeme closes it.  Lexemes are read by
-    index, each a tuple of _LEXEME's groups: (below, minus, integer,
-    decimal digits, denominator, word), '' where absent; the end's are all
-    ''."""
+    The order, and the failing token and message, are those of a
+    recursive descent of the grammar, save that a stray character anywhere
+    in the text is reported before anything else, at its position.  The
+    recursive-descent parser in tests/oracles.py is the oracle they are
+    checked against.  An operator leaves the pending stack when the next
+    lexeme closes it.  Lexemes are read by index, each a tuple of _LEXEME's
+    groups: (below, minus, integer, decimal digits, denominator, word), ''
+    where absent; the end's are all ''."""
     lexemes = _LEXEME.findall(text)
     order = []
     pending = []

@@ -11,7 +11,6 @@ fuel-bounded observation of that.
 import threading
 
 from dataclasses import dataclass
-from typing import Any
 
 
 class _Pending:
@@ -26,7 +25,7 @@ PENDING = _Pending()
 
 @dataclass(frozen=True)
 class Done:
-    value: Any
+    value: object
 
 
 class _Unit:

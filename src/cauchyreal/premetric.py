@@ -9,7 +9,6 @@ semi-decidable closeness; see the completion module for that half.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .rational import QPos, close_q, dyadic
 
@@ -48,7 +47,7 @@ class LipschitzFn:
     constant * eps.  Constant 1 is non-expanding.
     """
 
-    fn: Callable
+    fn: object
     constant: Fraction
 
     def __call__(self, x):
@@ -64,7 +63,7 @@ class LipschitzFn:
 class ContinuityModulus:
     """Maps a target output tolerance to a sufficient input tolerance."""
 
-    modulus: Callable
+    modulus: object
 
     def __call__(self, eps):
         return self.modulus(eps)

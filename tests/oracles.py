@@ -7,19 +7,23 @@ asserts against these, agreement means two separate routes reached the same
 answer.  The one exception is the old compositions of |x| and of a
 reciprocal by a negative witness, out of the package's own operations: the
 one-node rules that replaced them must answer bit for bit as they did.
-The command-line reference is argparse itself, given the table of forms
-that the package's own reader reads.
+The expression reference is a character lexer, tokenize, which reads
+integers with int() and a Decimal fallback of its own, and a
+recursive-descent parser on its tokens.  The command-line reference is argparse
+itself, given the table of forms that the package's own reader reads.
 """
 
 import argparse
 import math
 import threading
 
+from decimal import Decimal
 from fractions import Fraction
+from string import ascii_letters, digits
 
 from cauchyreal import cli
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
-                                    Neg, ParseError, RatLit, Sub, tokenize)
+                                    Neg, ParseError, RatLit, Sub)
 from cauchyreal.partiality import (PENDING, STAR, TOP, Done, Partial, _Never, _Now,
                                    never)
 from cauchyreal.rational import dyadic
@@ -203,6 +207,62 @@ def linear_witness(x, fuel):
         if abs(a) > 2 * d:
             return ApartnessWitness(a > 0, d)
     return None
+
+
+def _digits_value(run):
+    """The integer a run of ASCII digits denotes, of any length: Decimal
+    reads what int() refuses past the str-to-int digit limit."""
+    try:
+        return int(run)
+    except ValueError:
+        return int(Decimal(run))
+
+
+def tokenize(text):
+    """Split text into (kind, value, position) tokens, one character at a
+    time: the grammar's token-level view, which _Parser reads.
+
+    Kinds: 'int' carries an int and 'dec' an exact Fraction, of any length,
+    and the distinction lets a parser fold p/q literals; 'name' carries an
+    identifier; 'sym' one of + - * / ( ) ,; 'end' marks exhaustion.  A
+    stray character raises ParseError at its position.
+    """
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "+-*/(),":
+            tokens.append(("sym", c, i))
+            i += 1
+            continue
+        if c in digits:
+            start = i
+            while i < n and text[i] in digits:
+                i += 1
+            if i < n and text[i] == "." and i + 1 < n and text[i + 1] in digits:
+                point = i
+                i += 1
+                while i < n and text[i] in digits:
+                    i += 1
+                value = Fraction(_digits_value(text[start:point] + text[point + 1:i]),
+                                 10 ** (i - point - 1))
+                tokens.append(("dec", value, start))
+            else:
+                tokens.append(("int", _digits_value(text[start:i]), start))
+            continue
+        if c in ascii_letters:
+            start = i
+            while i < n and text[i] in ascii_letters:
+                i += 1
+            tokens.append(("name", text[start:i], start))
+            continue
+        raise ParseError("unexpected character %r" % c, i)
+    tokens.append(("end", None, n))
+    return tokens
 
 
 # A recursive-descent parser of the same grammar, one method per rule: the

@@ -723,6 +723,17 @@ def test_installed_entry_point():
     assert done.returncode == 2
 
 
+def test_importing_the_cli_leaves_typing_out():
+    # pytest imports typing itself, so the import runs in a fresh interpreter;
+    # -S keeps out the site module, whose .pth files may import typing
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, %r); import cauchyreal.cli; "
+            "print('typing' in sys.modules)" % src)
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
 def test_a_syntax_error_beats_a_failing_division():
     # the whole text parses before the division's witness search would fail
     code, out, err = run_main(["eval", "--", "1/(1-1) +"])

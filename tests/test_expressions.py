@@ -9,9 +9,9 @@ import pytest
 from cauchyreal import (ParseError, WitnessSearchError, build_real, dyadic, expressions,
                         format_expr, from_below, parse)
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
-                                    Neg, RatLit, Sub, tokenize)
+                                    Neg, RatLit, Sub)
 
-from oracles import eval_exact, parse as recursive_parse, parse_outcome
+from oracles import eval_exact, parse as recursive_parse, parse_outcome, tokenize
 
 
 def test_tokenize_positions_and_kinds():
