@@ -36,14 +36,13 @@ import os
 import re
 import sys
 
-from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, DivisionByZero,
                      Inexact, InvalidOperation, Overflow)
 from fractions import Fraction
 
 from .expressions import ParseError, WitnessSearchError, _build, _postfix, build_real
 from .partiality import PENDING
-from .rational import dyadic, dyadic_rat, format_int
+from .rational import Value, dyadic, dyadic_rat, format_int
 from .reals import compare_partial, is_positive
 
 EXIT_OK = 0
@@ -56,12 +55,10 @@ EXIT_WITNESS = 2
 MAX_BUDGET = 2 ** 20
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(Value):
     """An exact rational interval certified to contain a real."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
     @property
     def width(self):

@@ -43,40 +43,33 @@ falls back to division, so 1/0 fails at evaluation, not at parse time.
 
 import re
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from string import ascii_letters
 
-from .rational import _coprime, format_rat, parse_int
+from .rational import Value, _coprime, format_rat, parse_int
 from .reals import (CReal, _below, absolute, find_apart_witness, join, meet, mul, neg,
                     recip_witnessed, signed_sum)
 
 
-@dataclass(frozen=True)
-class RatLit:
-    value: Fraction
+class RatLit(Value):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class FromBelow:
+class FromBelow(Value):
     """The canonical strictly-increasing approximation of a rational:
     the limit of eps -> value - eps.  Denotes value, and carries no exact
     tag, which makes it the stock generic-path test subject.  Its own
     approximate never reports value; its integer answers, and what an
     operation computes from them, may (see reals.from_below)."""
-    value: Fraction
+
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class _Unary:
-    operand: object
+class _Unary(Value):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class _Binary:
-    left: object
-    right: object
+class _Binary(Value):
+    __slots__ = ("left", "right")
 
 
 class Neg(_Unary):
@@ -150,7 +143,7 @@ def _fail(text, index, message="unexpected token '%s'"):
     lexemes = [*_LEXEME.finditer(text)]
     for lexeme in lexemes:
         word = lexeme[6]
-        if word and word not in _SYMBOLS and word[0] not in ascii_letters:
+        if word and word not in _SYMBOLS and not (word.isascii() and word.isalpha()):
             raise ParseError("unexpected character %r" % word, lexeme.start(6))
     lexeme = lexemes[index]
     position = lexeme.end() - len(lexeme[0].lstrip())

@@ -10,7 +10,7 @@ fuel-bounded observation of that.
 
 import threading
 
-from dataclasses import dataclass
+from .rational import Value
 
 
 class _Pending:
@@ -23,9 +23,11 @@ class _Pending:
 PENDING = _Pending()
 
 
-@dataclass(frozen=True)
-class Done:
-    value: object
+class Done(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
 
 
 class _Unit:

@@ -7,10 +7,9 @@ distance between x and y is less than eps.  Completed spaces only admit a
 semi-decidable closeness; see the completion module for that half.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import QPos, close_q, dyadic
+from .rational import QPos, Value, close_q, dyadic
 
 
 class PremetricCarrier:
@@ -39,16 +38,14 @@ class RationalSpace(PremetricCarrier):
 RATIONALS = RationalSpace()
 
 
-@dataclass(frozen=True)
-class LipschitzFn:
+class LipschitzFn(Value):
     """A function bundled with its Lipschitz constant.
 
     The bundle claims: x close to y at eps implies fn(x) close to fn(y) at
     constant * eps.  Constant 1 is non-expanding.
     """
 
-    fn: object
-    constant: Fraction
+    __slots__ = ("fn", "constant")
 
     def __call__(self, x):
         return self.fn(x)
@@ -59,11 +56,10 @@ class LipschitzFn:
         return ContinuityModulus(lambda eps: QPos(Fraction(eps) / constant))
 
 
-@dataclass(frozen=True)
-class ContinuityModulus:
+class ContinuityModulus(Value):
     """Maps a target output tolerance to a sufficient input tolerance."""
 
-    modulus: object
+    __slots__ = ("modulus",)
 
     def __call__(self, eps):
         return self.modulus(eps)

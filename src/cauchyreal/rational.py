@@ -33,6 +33,63 @@ class QPos(Fraction):
         return self
 
 
+class Value:
+    """An immutable value whose fields are its class's __slots__, declared
+    once: a subclass that adds no field declares no __slots__.
+
+    A value is built from its fields by position or keyword, equals only a
+    value of its own class with equal fields, hashes and prints by its
+    fields, and refuses assignment.  == compares on an explicit stack, so
+    equal values nested deeper than the recursion limit compare; hash and
+    repr still recurse.  copy and pickle rebuild a value through its class,
+    by __reduce__, since __setattr__ refuses the slot stores of the default.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs:
+            args += tuple([kwargs.pop(name) for name in names[len(args):] if name in kwargs])
+        if kwargs or len(args) != len(names):
+            raise TypeError("%s takes the fields %s" % (type(self).__name__, ", ".join(names)))
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if isinstance(a, Value) and type(a) is type(b):
+                pairs += zip(a._values(), b._values())
+            elif not a == b:
+                return False
+        return True
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot set or delete %r: %s is immutable"
+                             % (name, type(self).__name__))
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 def close_q(eps, q, r):
     """Whether |q - r| < eps.  Strict: distance exactly eps is not close."""
     return abs(q - r) < eps

@@ -47,12 +47,11 @@ requested precision, four times for the last one):
     absolute(sub(mul(a, b), mul(a, c))) = mul(absolute(a), absolute(sub(b, c)))
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .completion import CompletionPoint, _magnitude, _operation, eta
 from .partiality import PENDING, TOP, map_partial, monotone_sup, never, now
-from .rational import QPos, _coprime, ceil_log2, dyadic, round_div
+from .rational import QPos, Value, _coprime, ceil_log2, dyadic, round_div
 
 CReal = CompletionPoint
 
@@ -284,8 +283,7 @@ def _exponent(b):
     return ceil_log2(b.numerator, b.denominator)
 
 
-@dataclass(frozen=True)
-class ApartnessWitness:
+class ApartnessWitness(Value):
     """A certificate that a real is apart from zero.
 
     gap is a positive rational with gap <= |x|, positive records the sign.
@@ -293,12 +291,13 @@ class ApartnessWitness:
     garbage out.
     """
 
-    positive: bool
-    gap: Fraction
+    __slots__ = ("positive", "gap")
 
-    def __post_init__(self):
-        if self.gap <= 0:
-            raise ValueError("witness gap must be strictly positive, got %s" % (self.gap,))
+    def __init__(self, positive, gap):
+        if gap <= 0:
+            raise ValueError("witness gap must be strictly positive, got %s" % (gap,))
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "gap", gap)
 
 
 def recip_witnessed(x, witness):

@@ -723,15 +723,16 @@ def test_installed_entry_point():
     assert done.returncode == 2
 
 
-def test_importing_the_cli_leaves_typing_out():
-    # pytest imports typing itself, so the import runs in a fresh interpreter;
-    # -S keeps out the site module, whose .pth files may import typing
+def test_importing_the_cli_leaves_typing_dataclasses_inspect_and_string_out():
+    # pytest imports these itself, so the import runs in a fresh interpreter;
+    # -S keeps out the site module, whose .pth files may import them
     src = str(Path(cli.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, %r); import cauchyreal.cli; "
-            "print('typing' in sys.modules)" % src)
+            "print([name for name in ('typing', 'dataclasses', 'inspect', 'string') "
+            "if name in sys.modules])" % src)
     done = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, timeout=120)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_a_syntax_error_beats_a_failing_division():

@@ -32,6 +32,13 @@ def test_tokenize_rejects_stray_character():
         assert info.value.position == position
 
 
+def test_parse_reports_a_non_ascii_letter_or_digit_as_a_stray():
+    for text in ("max\u00e9(1, 2)", "1 + \u00e9", "ab\u00dfc", "2\u00b2", "\u0661\u0662"):
+        assert parse_outcome(parse, text) == parse_outcome(recursive_parse, text)
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse(text)
+
+
 def test_fraction_literals_fold():
     assert parse("1/3 + 1/6") == Add(RatLit(Fraction(1, 3)), RatLit(Fraction(1, 6)))
     assert parse("1/2/3") == Div(RatLit(Fraction(1, 2)), RatLit(Fraction(3)))
@@ -271,11 +278,11 @@ DEEP = 10000
     ("-" * DEEP + "below(1)", "-" * DEEP + "below(1)", None),
 ], ids=["parentheses", "sum", "negations", "max", "negated_below"])
 def test_parse_build_and_print_have_no_depth_limit(text, printed, value):
-    # each nests deeper than the recursion limit; deep ASTs are compared as
-    # text, since dataclass equality recurses
+    # each nests deeper than the recursion limit
     assert sys.getrecursionlimit() < DEEP // 2
     node = parse(text)
     assert format_expr(node) == printed
+    assert node == parse(printed)
     assert build_real(node).exact == value
 
 
