@@ -49,6 +49,9 @@ class CompletionPoint:
     the point it denotes is determined.  A point has an opaque procedure
     (approx, eps -> base element within eps), an integer one (scaled,
     k -> integer m with |x - m * 2**-k| < 2**-k, for a real x), or both.
+    A subclass may give both as methods instead: reals._Below, the below()
+    leaf, is one object holding its numerator and denominator, with no
+    closure.
 
     Built-in operations on reals are a fourth kind, made by the package's
     _operation: the point holds its operands, each a (point, offset) pair,

@@ -8,13 +8,15 @@ numerator, denominator) for each literal and below(...), its integers in
 lowest terms, and each operation's node class after its operands.  A
 shunting-yard loop makes that order, with pending operators and open frames
 on an explicit stack, and one post-order walk, also on an explicit stack,
-makes the same order from an AST.  parse and format_expr fold the order
-on a stack of results, AST nodes and text (_fold); build_real reads it in a
-loop of its own on a stack of reals (_build).  So parsing, printing and
-building have no depth limit, and building from text makes no AST.  A
-literal's triple is build_real's key for sharing it, and its leaf is made
-from the integer pair alone, once per value: a literal's Fraction is its
-exact tag, and a below(...) leaf makes no Fraction.  build_real makes a
+makes the same order from an AST.  Each distinct leaf lexeme of a text is
+read into its triple once, and its repeats share that triple.  parse and
+format_expr fold the order on a stack of results, AST nodes and text
+(_fold); build_real reads it in a loop of its own on a stack of reals
+(_build).  So parsing, printing and building have no depth limit, and
+building from text makes no AST.  A literal's triple is build_real's key
+for sharing it, and its leaf is made from the integer pair alone, once per
+value: a literal's Fraction is its exact tag, and a below(...) leaf is one
+object that makes no Fraction (reals._Below).  build_real makes a
 chain of + and - one signed sum of all its terms, so a sum of any
 length evaluates in one frame.  Approximating other nesting still recurses,
 one frame per level (CompletionPoint.scaled reads an operation's operands),
@@ -46,7 +48,7 @@ import re
 from math import gcd
 
 from .rational import Value, _coprime, format_rat, parse_int
-from .reals import (CReal, _below, absolute, find_apart_witness, join, meet, mul, neg,
+from .reals import (CReal, _Below, absolute, find_apart_witness, join, meet, mul, neg,
                     recip_witnessed, signed_sum)
 
 
@@ -187,14 +189,19 @@ def _postfix(text):
     checked against.  An operator leaves the pending stack when the next
     lexeme closes it.  Lexemes are read by index, each a tuple of _LEXEME's
     groups: (below, minus, integer, decimal digits, denominator, word), ''
-    where absent; the end's are all ''."""
+    where absent; the end's are all ''.  A leaf's groups hold no blanks and
+    key a table that lives for this call, so each distinct leaf lexeme is
+    read into its triple once, and its repeats, however blanks space them,
+    append that same triple."""
     lexemes = _LEXEME.findall(text)
+    leaves = {}
     order = []
     pending = []
     i = 0
     while True:
         # Prefix minuses and frame openers, up to one operand.
-        below, minus, whole, decimals, den, word = lexemes[i]
+        lexeme = lexemes[i]
+        below, minus, whole, decimals, den, word = lexeme
         i += 1
         if not whole:
             if word == "-":
@@ -212,17 +219,20 @@ def _postfix(text):
                 _fail(text, i - 1, "unknown function '%s'" if word.isalpha()
                       else "unexpected token '%s'")
             continue
-        if decimals:
-            n = parse_int(whole + decimals)
-            d = 10 ** len(decimals)
-        else:
-            n = parse_int(whole)
-            d = parse_int(den) if den else 1
-        if d != 1:
-            g = gcd(n, d)
-            n //= g
-            d //= g
-        order.append((FromBelow, -n if minus else n, d) if below else (RatLit, n, d))
+        leaf = leaves.get(lexeme)
+        if leaf is None:
+            if decimals:
+                n = parse_int(whole + decimals)
+                d = 10 ** len(decimals)
+            else:
+                n = parse_int(whole)
+                d = parse_int(den) if den else 1
+            if d != 1:
+                g = gcd(n, d)
+                n //= g
+                d //= g
+            leaf = leaves[lexeme] = (FromBelow, -n if minus else n, d) if below else (RatLit, n, d)
+        order.append(leaf)
         # An operand is done: apply its prefix minuses, then reduce what the
         # next lexeme closes, until that lexeme needs another operand.  Once
         # the minuses are applied no Neg is on top, and none ever lies right
@@ -331,7 +341,7 @@ def _divide(numer, denom, witness_fuel):
 # literal.
 _NODES = {
     RatLit: ("%s", lambda n, d: CReal(exact=_coprime(n, d))),
-    FromBelow: ("below(%s)", _below),
+    FromBelow: ("below(%s)", _Below),
     Neg: ("-%s", neg),
     Abs: ("abs(%s)", absolute),
     Add: ("(%s + %s)",),
@@ -387,7 +397,7 @@ def build_real(expr, witness_fuel=64):
     is reused while it lives.  A leaf's key is its triple in the postfix
     order itself, and its real is made from the triple's integers only when
     the key is new: a literal makes one Fraction, its exact tag, and a
-    below(...) leaf none (reals._below).  A key costs O(1) per node, where
+    below(...) leaf none (reals._Below).  A key costs O(1) per node, where
     hashing the AST would cost its size.  _build reads the order in one loop
     of its own, not through _fold's callbacks.
 

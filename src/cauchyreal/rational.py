@@ -39,10 +39,12 @@ class Value:
 
     A value is built from its fields by position or keyword, equals only a
     value of its own class with equal fields, hashes and prints by its
-    fields, and refuses assignment.  == compares on an explicit stack, so
-    equal values nested deeper than the recursion limit compare; hash and
-    repr still recurse.  copy and pickle rebuild a value through its class,
-    by __reduce__, since __setattr__ refuses the slot stores of the default.
+    fields, and refuses assignment.  == and hash run on explicit stacks, so
+    values nested deeper than the recursion limit compare and hash; only
+    repr recurses, of the class's own methods.  copy and pickle rebuild a
+    value through its class, by __reduce__, since __setattr__ refuses the
+    slot stores of the default; deepcopy and pickle walk the fields
+    recursively themselves.
     """
 
     __slots__ = ()
@@ -74,7 +76,19 @@ class Value:
         return True
 
     def __hash__(self):
-        return hash(self._values())
+        # Each nested value's hash stands in for the value, post-order, so a
+        # value holding none hashes as hash(self._values()).
+        hashes = {}
+        todo = [self]
+        while todo:
+            fields = todo[-1]._values()
+            pending = [v for v in fields if isinstance(v, Value) and id(v) not in hashes]
+            if pending:
+                todo += pending
+            else:
+                hashes[id(todo.pop())] = hash(tuple([hashes[id(v)] if isinstance(v, Value) else v
+                                                     for v in fields]))
+        return hashes[id(self)]
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(

@@ -71,20 +71,39 @@ def from_below(q):
     path rounds the same approximant at 2**-(k+1), which is q - 2**-(k+2),
     to floor(q * 2**k + 1/4), without building the family; that is q * 2**k
     whenever q sits on the grid 2**-k, so scaled, and whatever is computed
-    from it, may report q itself.  The point keeps q's numerator and
-    denominator, and only approximate makes Fractions of them, so an
-    expression's below() leaf, this point made from its integer pair
-    (_below), makes none on the integer path.
+    from it, may report q itself.  The point is one object, a _Below that
+    keeps q's numerator and denominator, and only approximate makes
+    Fractions of them, so an expression's below() leaf, made from its
+    integer pair, makes none on the integer path.
     """
     if type(q) is not Fraction:
         q = Fraction(q)
-    return _below(q.numerator, q.denominator)
+    return _Below(q.numerator, q.denominator)
 
 
-def _below(n, d):
-    """from_below(n/d), for integers n and d > 0 in lowest terms."""
-    return CompletionPoint(lambda eps: _coprime(n, d) - _HALF * eps,
-                           scaled=lambda k: ((n << (k + 2)) + d) // (4 * d))
+class _Below(CompletionPoint):
+    """from_below(n/d), for integers n and d > 0 in lowest terms, as one
+    object: its two rules are methods, so it holds no closure or cell.
+
+    The method _approx stands in for the slot of the opaque procedure, so
+    CompletionPoint.approximate calls it and memoizes its answers as for
+    any opaque point.  scaled is the integer rule itself, unmemoized, so
+    the slot _scaled is never set.
+    """
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n, d):
+        self.n = n
+        self.d = d
+        self._operands = self.exact = self._memo = self._e = None
+
+    def _approx(self, eps):
+        return _coprime(self.n, self.d) - _HALF * eps
+
+    def scaled(self, k):
+        d = self.d
+        return ((self.n << (k + 2)) + d) // (4 * d)
 
 
 ZERO = from_rat(0)

@@ -2,6 +2,7 @@ import math
 import sys
 import time
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,44 @@ def test_equal_literals_build_one_leaf(monkeypatch, text):
         assert len(built) == 1 and Fraction(*built[0]).as_integer_ratio() == built[0]
         eps = dyadic(20)
         assert abs(point.approximate(eps) - eval_exact(parse(text))) <= eps
+
+
+_REPEATS = ("below( 2 / 4 ) + below(2/4) * below(1/2) - 2.50 + 5/2 - 2.5 + below(-0)"
+            " + below(0) + below( - 0 )",
+            "max(below(2/4), below(  2/4)) * (5/2 + 2.50) / below(2/4) - 5 / 2")
+
+
+@pytest.mark.parametrize("text", _REPEATS)
+def test_repeated_leaves_keep_the_recursive_descent_order(text):
+    # each distinct leaf lexeme is read once; its repeats, however spelled,
+    # append the triple that the oracle's parse gives them
+    order = expressions._postfix(text)
+    assert order == expressions._postorder(recursive_parse(text))
+    leaves = [item for item in order if type(item) is tuple]
+    assert leaves[0] is leaves[1]
+
+
+def test_a_repeated_literal_past_the_digit_limit_reads_through_decimal():
+    # int() refuses more than 4,300 digits; parse_int's Decimal reads them
+    digits = "7" * 4400 + "1"
+    big = int(Decimal(digits))
+    order = expressions._postfix("%s + below(%s/7) - %s + below( %s / 7 )" % ((digits,) * 4))
+    leaves = [item for item in order if type(item) is tuple]
+    assert leaves == [(RatLit, big, 1), (FromBelow, big, 7)] * 2
+    assert leaves[0] is leaves[2] and leaves[1] is leaves[3]
+
+
+def test_each_distinct_leaf_lexeme_is_read_once(monkeypatch):
+    read = []
+    parse_int = expressions.parse_int
+    monkeypatch.setattr(expressions, "parse_int", lambda digits: read.append(digits)
+                        or parse_int(digits))
+    expressions._postfix(_REPEATS[0])
+    # below(2/4), below(1/2), 2.50, 5/2, 2.5, below(-0) and below(0): the
+    # lexemes below( 2 / 4 ) and below(2/4) are one, as are below(-0) and
+    # below( - 0 )
+    assert sorted(read) == sorted(["2", "4", "1", "2", "250", "5", "2", "25", "0", "0"])
+
 
 DEEP = 10000
 

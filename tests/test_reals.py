@@ -1,5 +1,7 @@
 import gc
+import math
 import random
+import types
 
 from fractions import Fraction
 
@@ -12,6 +14,9 @@ from cauchyreal import (ONE, PENDING, STAR, TOP, ZERO, ApartnessWitness,
                         from_rat, is_positive, join, join_sier, limit,
                         lt_rat_semidecide, meet, mul, neg, never, parse,
                         recip_witnessed, scale, signed_sum, sub)
+
+from cauchyreal.premetric import RATIONALS
+from cauchyreal.reals import _Below
 
 from oracles import (first_k_with_margin, full_prefix_scan, full_scan_lt,
                      linear_witness)
@@ -631,3 +636,36 @@ def test_below_may_report_its_value_through_its_integer_answers():
         assert from_below(Fraction(-3, 4)).scaled(k + 2) == -3 << k
     assert build_real(parse("below(1) * 1")).approximate(dyadic(10)) == 1
     assert build_real("below(1) * 1").approximate(dyadic(10)) == 1
+
+
+_LEAF_PAIRS = [(1, 3), (-7, 3), (0, 1), (5, 1), (-5, 4),
+               (10 ** 39 + 7, 3 * 10 ** 39 + 1), (-(10 ** 39 + 7), 3 * 10 ** 39 + 1)]
+
+
+@pytest.mark.parametrize("n, d", _LEAF_PAIRS)
+def test_below_leaf_answers_its_rules_from_its_pair(n, d):
+    # scaled(k) is floor(n * 2**k / d + 1/4), q - 2**-(k+2) rounded at
+    # 2**-(k+1); approximate is q - eps/2 and memoizes, as any opaque point
+    q = Fraction(n, d)
+    leaf = _Below(n, d)
+    for k in range(201):
+        assert leaf.scaled(k) == math.floor(Fraction(n << k, d) + Fraction(1, 4))
+    # finest last, so the memo serves none of these
+    for eps in (Fraction(1), Fraction(1, 3), dyadic(10), dyadic(300)):
+        assert leaf.approximate(eps) == q - eps / 2 != q
+    # a coarser request after the finest is served its memoized answer
+    for eps in (dyadic(10), Fraction(1, 3), Fraction(5)):
+        assert leaf.approximate(eps) == q - dyadic(300) / 2
+    assert leaf.space is RATIONALS
+    for eps in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="precision must be strictly positive"):
+            leaf.approximate(eps)
+
+
+def test_below_leaf_holds_no_function_and_no_cell():
+    # one object: its rules are methods of its class, not closures over n, d
+    leaf = from_below(Fraction(-2, 3))
+    assert type(leaf) is _Below and isinstance(leaf, CompletionPoint)
+    leaf.approximate(dyadic(5))
+    for referent in gc.get_referents(leaf):
+        assert not isinstance(referent, (types.FunctionType, types.MethodType, types.CellType))

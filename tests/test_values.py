@@ -4,6 +4,7 @@ immutability, and copy and pickle round trips."""
 
 import copy
 import pickle
+import sys
 
 from fractions import Fraction
 
@@ -116,3 +117,21 @@ def test_values_copy_and_pickle(value):
     for other in copies:
         assert type(other) is type(value) and other == value
         assert hash(other) == hash(value) and repr(other) == repr(value)
+
+
+def test_deep_values_hash_without_recursion():
+    # == and hash run on explicit stacks; a value holding no value hashes
+    # as the tuple of its fields
+    def deep(levels):
+        node = RatLit(Fraction(1, 3))
+        for i in range(levels):
+            node = Neg(node) if i % 3 else Add(node, FromBelow(Fraction(i)))
+        return node
+
+    levels = 10000
+    assert sys.getrecursionlimit() < levels
+    a, b = deep(levels), deep(levels)
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) != hash(deep(levels - 1))
+    assert hash(Done(3)) == hash((3,))
+    assert hash(Enclosure(Fraction(1, 3), Fraction(1, 2))) == hash((Fraction(1, 3), Fraction(1, 2)))
