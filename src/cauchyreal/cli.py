@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from .expressions import ParseError, WitnessSearchError, _build, _postfix, build_real
 from .partiality import PENDING
-from .rational import Value, dyadic, dyadic_rat, format_int
+from .rational import Value, dyadic, format_int
 from .reals import compare_partial, is_positive
 
 EXIT_OK = 0
@@ -78,20 +78,14 @@ def evaluate_enclosure(text, prec_exponent, witness_fuel=None):
     """Build text's real and enclose its value within radius 2**-prec_exponent.
 
     Returns the midpoint's enclosure [m - eps, m + eps] where m is the
-    eps-approximant; both endpoints are exact rationals.  A dyadic m is
-    shifted onto the finer grid of its own and eps's, sparing a gcd.
+    eps-approximant; both endpoints are exact rationals.  It is the
+    reference that eval's printer, which works on m's integers and makes
+    no endpoint Fraction, is property-tested against.
     """
     point = build_real(text, _witness_fuel(witness_fuel, prec_exponent))
     eps = dyadic(prec_exponent)
     mid = point.approximate(eps)
-    den = mid.denominator
-    if den & (den - 1):
-        return Enclosure(mid - eps, mid + eps)
-    j = den.bit_length() - 1
-    k = max(j, prec_exponent)
-    a = mid.numerator << (k - j)
-    e = 1 << (k - prec_exponent)
-    return Enclosure(dyadic_rat(a - e, k), dyadic_rat(a + e, k))
+    return Enclosure(mid - eps, mid + eps)
 
 
 def decimal_digits(prec_exponent):
@@ -150,40 +144,49 @@ def _ratio(num, den):
 
 
 def _twos(n):
-    """The exponent of the greatest power of two dividing n > 0."""
+    """The exponent of the greatest power of two dividing n != 0."""
     return (n & -n).bit_length() - 1
 
 
-def _write_enclosure(out, box, prec, fmt):
+def _write_enclosure(out, mid, prec, fmt):
     """Write what format_rat and format_decimal give for eps = 2**-prec and
-    box = [m - eps, m + eps], converting each big integer to decimal once.
+    the enclosure [mid - eps, mid + eps], converting each big integer to
+    decimal once.
 
-    Both endpoints' denominators are odd * 2**s for the odd part of m's, so
-    over odd * 2**e, for e the greatest s or prec, their numerators a, b
-    differ by 2 * odd * 2**(e - prec), and their decimal lines' integers by
-    about 20.  So 2**e is computed in Decimal once and divided down, the
-    numerator of lo and the integer of lo.decimal are converted, and those
-    of hi are exact Decimal sums of the small differences.  The decimal
-    lines' integers are shifts, as digits <= prec <= e:
+    mid = num / (odd * 2**s) in lowest terms, with odd odd.  Over
+    odd * 2**e, for e the greater of s and prec, the endpoints' numerators
+    are a = num * 2**(e - s) - odd * 2**(e - prec) and
+    b = a + 2 * odd * 2**(e - prec).  Neither shares a factor with odd, as
+    each is num * 2**(e - s) plus a multiple of odd and num is prime to odd,
+    so an endpoint is in lowest terms once its numerator's trailing zero
+    bits are shifted out, at most e of them, and all e of a zero
+    numerator, whose odd is then 1.  So 2**e is computed in Decimal once
+    and divided down, the numerator of lo and the integer of lo.decimal are
+    converted, and those of hi are exact Decimal sums of the small
+    differences: 2 * odd * 2**(e - prec) and about 20.  The decimal lines'
+    integers are shifts, as digits <= prec <= e:
 
         floor(x * 10**digits / (odd * 2**e))
             = floor(floor(x * 5**digits / 2**(e - digits)) / odd).
     """
-    lo, hi = box.lo, box.hi
-    s_lo = _twos(lo.denominator)
-    s_hi = _twos(hi.denominator)
-    odd = lo.denominator >> s_lo
-    e = max(s_lo, s_hi, prec)
+    num, den = mid.numerator, mid.denominator
+    s = _twos(den)
+    odd = den >> s
+    e = max(s, prec)
+    a = (num << (e - s)) - (odd << (e - prec))
+    b = a + (odd << (e - prec + 1))
     power = _EXACT.power(2, e)
 
-    def pow2(s):
-        return _EXACT.divide_int(power, 1 << (e - s))
+    def pow2(j):
+        return _EXACT.divide_int(power, 1 << (e - j))
 
     out.write("eps=%s\n" % _ratio(1, pow2(prec)))
-    a = lo.numerator << (e - s_lo)
-    b = hi.numerator << (e - s_hi)
     if fmt in ("rational", "both"):
-        num_lo = Decimal(lo.numerator)
+        # the endpoints' denominators are odd * 2**s_lo and odd * 2**s_hi:
+        # a numerator sheds its trailing zeros, at most e, and all e if zero
+        s_lo = e - _twos(a | 1 << e)
+        s_hi = e - _twos(b | 1 << e)
+        num_lo = Decimal(a >> (e - s_lo))
         num_hi = _EXACT.divide_int(
             _EXACT.add(_EXACT.multiply(num_lo, 1 << (e - s_lo)), b - a), 1 << (e - s_hi))
         out.write("lo=%s\n" % _ratio(num_lo, _EXACT.multiply(pow2(s_lo), odd)))
@@ -200,7 +203,8 @@ def _write_enclosure(out, box, prec, fmt):
 
 
 def cmd_eval(expr, prec, witness_fuel, fmt, out):
-    _write_enclosure(out, evaluate_enclosure(expr, prec, witness_fuel), prec, fmt)
+    point = build_real(expr, _witness_fuel(witness_fuel, prec))
+    _write_enclosure(out, point.approximate(dyadic(prec)), prec, fmt)
     return EXIT_OK
 
 

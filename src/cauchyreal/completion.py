@@ -237,7 +237,9 @@ def _operation(exact, combine, *operands, magnitude=None):
     point, in the listed order, for k + offset, and answers
     combine(k, m_1, ..., m_n) of their integers.  If exact is given and
     every operand is exact, the point is exact instead, with
-    exact(x_1, ..., x_n) of their rationals.  magnitude is the point's
+    exact(x_1, ..., x_n) of their rationals: every operation of reals but
+    signed_sum, which folds its exact terms itself, gives its exact rule
+    here and has no fast path of its own.  magnitude is the point's
     exponent e (see _magnitude), or a rule giving it from the list of the
     operands' exponents; without one the point is read like a leaf.
     """

@@ -39,12 +39,11 @@ class Value:
 
     A value is built from its fields by position or keyword, equals only a
     value of its own class with equal fields, hashes and prints by its
-    fields, and refuses assignment.  == and hash run on explicit stacks, so
-    values nested deeper than the recursion limit compare and hash; only
-    repr recurses, of the class's own methods.  copy and pickle rebuild a
-    value through its class, by __reduce__, since __setattr__ refuses the
-    slot stores of the default; deepcopy and pickle walk the fields
-    recursively themselves.
+    fields, and refuses assignment.  ==, hash and repr run on explicit
+    stacks, so they take values nested to any depth.  copy and pickle
+    rebuild a value through its class, by __reduce__, since __setattr__
+    refuses the slot stores of the default; copy.deepcopy and pickle walk
+    the fields recursively themselves, so they recurse.
     """
 
     __slots__ = ()
@@ -75,24 +74,34 @@ class Value:
                 return False
         return True
 
-    def __hash__(self):
-        # Each nested value's hash stands in for the value, post-order, so a
-        # value holding none hashes as hash(self._values()).
-        hashes = {}
+    def _fold(self, combine, show):
+        """combine(value, parts) for self, post-order on an explicit stack:
+        parts holds, for each field, the fold of a nested value, or show of
+        any other field."""
+        done = {}
         todo = [self]
         while todo:
-            fields = todo[-1]._values()
-            pending = [v for v in fields if isinstance(v, Value) and id(v) not in hashes]
+            value = todo[-1]
+            fields = value._values()
+            pending = [v for v in fields if isinstance(v, Value) and id(v) not in done]
             if pending:
                 todo += pending
             else:
-                hashes[id(todo.pop())] = hash(tuple([hashes[id(v)] if isinstance(v, Value) else v
-                                                     for v in fields]))
-        return hashes[id(self)]
+                done[id(todo.pop())] = combine(value, [
+                    done[id(v)] if isinstance(v, Value) else show(v) for v in fields])
+        return done[id(self)]
+
+    def __hash__(self):
+        # Each nested value's hash stands in for the value, so a value
+        # holding none hashes as hash(self._values()).
+        return self._fold(lambda value, parts: hash(tuple(parts)), lambda field: field)
 
     def __repr__(self):
-        return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+        def show(value, parts):
+            return "%s(%s)" % (type(value).__qualname__, ", ".join(
+                map("%s=%s".__mod__, zip(value.__slots__, parts))))
+
+        return self._fold(show, repr)
 
     def __setattr__(self, name, value=None):
         raise AttributeError("cannot set or delete %r: %s is immutable"

@@ -4,7 +4,9 @@ structure, semi-decidable order, and apartness-witnessed inversion.
 Each operation has two routes that denote the same real: a generic route,
 and an exact fast path taken when the operands carry their rational value.
 Only approximation bookkeeping differs between the routes, never the denoted
-point.
+point.  Every operation but signed_sum hands its exact rule to _operation,
+which takes the fast path when every operand is exact.  signed_sum folds
+its exact terms into one itself, inexact terms beside them or not.
 
 The generic route is the integer path of CompletionPoint: a request for
 precision 2**-k is the integer k, the answer an integer m with
@@ -284,8 +286,6 @@ def mul(x, y, x_bound=None, y_bound=None):
     Custom bounds must genuinely bound the operands; any valid choice denotes
     the same real.
     """
-    if x.exact is not None and y.exact is not None:
-        return from_rat(x.exact * y.exact)
     ea = _magnitude(y) if y_bound is None else _exponent(y_bound)
     eb = _magnitude(x) if x_bound is None else _exponent(x_bound)
 
@@ -293,7 +293,7 @@ def mul(x, y, x_bound=None, y_bound=None):
         clip = 1 << (k + ea + eb + 2)
         return (u * max(-clip, min(clip, v)) + 2 * clip) >> (k + ea + eb + 4)
 
-    return _operation(None, combine, (x, ea + 2), (y, eb + 2), magnitude=ea + eb)
+    return _operation(lambda a, b: a * b, combine, (x, ea + 2), (y, eb + 2), magnitude=ea + eb)
 
 
 def _exponent(b):
@@ -335,8 +335,6 @@ def recip_witnessed(x, witness):
     s * u is floored and the quotient multiplied by s.  |1/x| <= 1/gap
     <= 2**g, so g is the reciprocal's magnitude exponent.
     """
-    if x.exact is not None:
-        return from_rat(1 / x.exact)
     gap = witness.gap
     g = ceil_log2(gap.denominator, gap.numerator)
     s = 1 if witness.positive else -1
@@ -344,7 +342,7 @@ def recip_witnessed(x, witness):
     def combine(k, u):
         return s * round_div(1 << (2 * k + 2 * g + 1), max(1 << (k + g + 1), s * u))
 
-    return _operation(None, combine, (x, 2 * g + 1), magnitude=g)
+    return _operation(lambda a: 1 / a, combine, (x, 2 * g + 1), magnitude=g)
 
 
 def lt_rat_semidecide(x, q):

@@ -527,6 +527,13 @@ def eval_calls(draw):
 @example(("0", 16000, "both"))
 @example((format_expr(RatLit(-dyadic(16000))), 16000, "both"))
 @example(("-7", 0, "both"))
+# the printer's edge shapes: lo exactly 0; endpoints 2 and 3, whose
+# numerators' trailing zeros pass e; a dyadic midpoint finer than eps; an
+# odd part with s > prec
+@example((format_expr(RatLit(dyadic(64))), 64, "both"))
+@example((format_expr(RatLit(Fraction(5, 2))), 1, "both"))
+@example((format_expr(RatLit(Fraction(3, 2 ** 70))), 64, "both"))
+@example((format_expr(RatLit(Fraction(1, 3 * 2 ** 70))), 64, "both"))
 def test_eval_prints_what_the_reference_formatters_give(call):
     text, k, fmt = call
     box = evaluate_enclosure(text, k)

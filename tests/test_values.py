@@ -12,7 +12,7 @@ import pytest
 
 from cauchyreal import ApartnessWitness, ContinuityModulus, Done, Enclosure, LipschitzFn
 from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul, Neg, RatLit,
-                                    Sub, _Binary, _Unary)
+                                    Sub, _Binary, _Unary, parse)
 
 
 def _leaf():
@@ -135,3 +135,20 @@ def test_deep_values_hash_without_recursion():
     assert hash(a) != hash(deep(levels - 1))
     assert hash(Done(3)) == hash((3,))
     assert hash(Enclosure(Fraction(1, 3), Fraction(1, 2))) == hash((Fraction(1, 3), Fraction(1, 2)))
+
+
+def test_deep_values_repr_without_recursion():
+    # repr folds on the explicit stack that hash runs on; the string built
+    # directly, level by level, is the same
+    levels = 10000
+    assert sys.getrecursionlimit() < levels
+    node, text = _leaf(), "RatLit(value=Fraction(1, 3))"
+    for i in range(levels):
+        if i % 3:
+            node, text = Neg(node), "Neg(operand=%s)" % text
+        else:
+            node = Add(node, FromBelow(Fraction(i)))
+            text = "Add(left=%s, right=FromBelow(value=%r))" % (text, Fraction(i))
+    assert repr(node) == text
+    assert repr(parse("-" * 5000 + "1")) == (
+        "Neg(operand=" * 5000 + "RatLit(value=Fraction(1, 1))" + ")" * 5000)
