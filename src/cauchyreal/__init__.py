@@ -22,8 +22,7 @@ from .reals import (CReal, ZERO, ONE, ApartnessWitness,
                     absolute, scale, clamp, bound, mul, recip_witnessed,
                     lt_rat_semidecide, is_positive, compare_partial,
                     find_apart_witness)
-from .expressions import (parse, format_expr, build_real,
-                          ParseError, WitnessSearchError)
+from .expressions import parse, build_real, ParseError, WitnessSearchError
 from .cli import Enclosure, evaluate_enclosure, main
 
 __all__ = [
@@ -43,7 +42,7 @@ __all__ = [
     "absolute", "scale", "clamp", "bound", "mul", "recip_witnessed",
     "lt_rat_semidecide", "is_positive", "compare_partial",
     "find_apart_witness",
-    "parse", "format_expr", "build_real",
+    "parse", "build_real",
     "ParseError", "WitnessSearchError",
     "Enclosure", "evaluate_enclosure", "main",
 ]

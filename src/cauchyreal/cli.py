@@ -40,7 +40,7 @@ from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, DivisionByZero,
                      Inexact, InvalidOperation, Overflow)
 from fractions import Fraction
 
-from .expressions import ParseError, WitnessSearchError, _build, _postfix, build_real
+from .expressions import ParseError, WitnessSearchError, build_real, parse
 from .partiality import PENDING
 from .rational import Value, dyadic, format_int
 from .reals import compare_partial, is_positive
@@ -221,12 +221,11 @@ def cmd_compare(a, b, fuel, witness_fuel, out):
     orders = []
     for name, text in (("a", a), ("b", b)):
         try:
-            orders.append(_postfix(text))
+            orders.append(parse(text))
         except ParseError as exc:
             exc.operand = name
             raise
-    x = _build(orders[0], witness_fuel)
-    y = _build(orders[1], witness_fuel)
+    x, y = [build_real(order, witness_fuel) for order in orders]
     # One scan decides both orientations: the sign of y - x.
     return _write_verdict(out, compare_partial(x, y).run(fuel), fuel, "lt", "gt")
 

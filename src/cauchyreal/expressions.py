@@ -1,27 +1,26 @@
-"""Expression front end: AST, one lexeme scan, parser, printer, and
-evaluation of an expression, or of its text, into a real.
+"""Expression front end: one lexeme scan, a parser into postfix order, and
+evaluation of that order, or of its text, into a real.
 
 Text becomes leaf-level lexemes in one regex scan: each literal, p/q
 included, and each well-formed below(...) is one lexeme, as is each symbol
-and name.  The lexemes become one postfix order: a triple (class,
-numerator, denominator) for each literal and below(...), its integers in
-lowest terms, and each operation's node class after its operands.  A
-shunting-yard loop makes that order, with pending operators and open frames
-on an explicit stack, and one post-order walk, also on an explicit stack,
-makes the same order from an AST.  Each distinct leaf lexeme of a text is
-read into its triple once, and its repeats share that triple.  parse and
-format_expr fold the order on a stack of results, AST nodes and text
-(_fold); build_real reads it in a loop of its own on a stack of reals
-(_build).  So parsing, printing and building have no depth limit, and
-building from text makes no AST.  A literal's triple is build_real's key
-for sharing it, and its leaf is made from the integer pair alone, once per
-value: a literal's Fraction is its exact tag, and a below(...) leaf is one
-object that makes no Fraction (reals._Below).  build_real makes a
-chain of + and - one signed sum of all its terms, so a sum of any
-length evaluates in one frame.  Approximating other nesting still recurses,
-one frame per level (CompletionPoint.scaled reads an operation's operands),
-so about 990 levels of it evaluate at the default recursion limit, and
-the CLI reports deeper nesting as error=depth.
+and name.  parse makes the lexemes one postfix order, by a shunting-yard
+loop with pending operators and open frames on an explicit stack.  A
+literal or below(...) is a triple (maker, numerator, denominator), its
+integers in lowest terms, where maker is _literal or reals._Below, the
+function that makes its real from those integers.  An operation is the
+reals operation itself, after its operands: neg, absolute, mul, _divide,
+join or meet, or add or sub, which mark the links of a chain of + and -
+for build_real.  Each distinct leaf lexeme of a text is read into its
+triple once, and its repeats share that triple.  build_real reads the
+order in one loop, on a stack of reals, so parsing and building have no
+depth limit.  A leaf's triple is build_real's key for sharing it, and its
+real is made once per value: a literal's Fraction is its exact tag, and a
+below(...) leaf is one object that makes no Fraction.  build_real makes a
+chain of + and - one signed sum of all its terms, so a sum of any length
+evaluates in one frame.  Approximating other nesting still recurses, one
+frame per level (CompletionPoint.scaled reads an operation's operands), so
+about 990 levels of it evaluate at the default recursion limit, and the
+CLI reports deeper nesting as error=depth.
 
 Grammar, loosest binding first:
 
@@ -47,63 +46,9 @@ import re
 
 from math import gcd
 
-from .rational import Value, _coprime, format_rat, parse_int
-from .reals import (CReal, _Below, absolute, find_apart_witness, join, meet, mul, neg,
-                    recip_witnessed, signed_sum)
-
-
-class RatLit(Value):
-    __slots__ = ("value",)
-
-
-class FromBelow(Value):
-    """The canonical strictly-increasing approximation of a rational:
-    the limit of eps -> value - eps.  Denotes value, and carries no exact
-    tag, which makes it the stock generic-path test subject.  Its own
-    approximate never reports value; its integer answers, and what an
-    operation computes from them, may (see reals.from_below)."""
-
-    __slots__ = ("value",)
-
-
-class _Unary(Value):
-    __slots__ = ("operand",)
-
-
-class _Binary(Value):
-    __slots__ = ("left", "right")
-
-
-class Neg(_Unary):
-    """-operand"""
-
-
-class Abs(_Unary):
-    """|operand|"""
-
-
-class Add(_Binary):
-    """left + right"""
-
-
-class Sub(_Binary):
-    """left - right"""
-
-
-class Mul(_Binary):
-    """left * right"""
-
-
-class Div(_Binary):
-    """left / right"""
-
-
-class Max(_Binary):
-    """max(left, right)"""
-
-
-class Min(_Binary):
-    """min(left, right)"""
+from .rational import _coprime, parse_int
+from .reals import (CReal, _Below, absolute, add, find_apart_witness, join, meet, mul, neg,
+                    recip_witnessed, signed_sum, sub)
 
 
 class ParseError(ValueError):
@@ -122,6 +67,18 @@ class WitnessSearchError(ArithmeticError):
             "no apartness witness for a denominator within fuel %d; "
             "it may be zero or too close to zero" % fuel)
         self.fuel = fuel
+
+
+def _literal(n, d):
+    """The exact real n/d, for n and d > 0 in lowest terms."""
+    return CReal(exact=_coprime(n, d))
+
+
+def _divide(numer, denom, witness_fuel):
+    witness = find_apart_witness(denom, witness_fuel)
+    if witness is None:
+        raise WitnessSearchError(witness_fuel)
+    return mul(numer, recip_witnessed(denom, witness))
 
 
 _SYMBOLS = "+-*/(),"
@@ -167,20 +124,19 @@ def _bad_below(text, lexemes, i):
 
 
 # A lexeme's word is a symbol, a name or a stray, so the parser tells
-# symbols apart by the word alone.  The pending stack holds Neg, pairs
-# (binding, node class) for binary operators, which associate left, and
-# triples (0, node class, closer) for open frames, whose binding 0 stops
-# every reduction.  A group's frame has no class.  max and min close their
-# first argument with ',' and then reopen as (0, Max, ')').
-_BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
-_FUNCTIONS = {"max": (0, Max, ","), "min": (0, Min, ","), "abs": (0, Abs, ")")}
+# symbols apart by the word alone.  The pending stack holds neg, pairs
+# (binding, operation) for binary operators, which associate left, and
+# triples (0, operation, closer) for open frames, whose binding 0 stops
+# every reduction.  A group's frame has no operation.  max and min close
+# their first argument with ',' and then reopen as (0, join, ')').
+_BINARY = {"+": (1, add), "-": (1, sub), "*": (2, mul), "/": (2, _divide)}
+_FUNCTIONS = {"max": (0, join, ","), "min": (0, meet, ","), "abs": (0, absolute, ")")}
 
 
-def _postfix(text):
-    """The postfix order of an expression's text: a triple (class,
-    numerator, denominator), in lowest terms, for each literal and
-    below(...), and each operation's node class after its operands.
-    Raises ParseError with a position on bad input.
+def parse(text):
+    """The postfix order of an expression's text, as the module docstring
+    describes it; raises ParseError with a position on bad input.
+    build_real takes the order or the text.
 
     The order, and the failing token and message, are those of a
     recursive descent of the grammar, save that a stray character anywhere
@@ -205,7 +161,7 @@ def _postfix(text):
         i += 1
         if not whole:
             if word == "-":
-                pending.append(Neg)
+                pending.append(neg)
             elif word == "(":
                 pending.append((0, None, ")"))
             elif word in _FUNCTIONS:
@@ -231,14 +187,14 @@ def _postfix(text):
                 g = gcd(n, d)
                 n //= g
                 d //= g
-            leaf = leaves[lexeme] = (FromBelow, -n if minus else n, d) if below else (RatLit, n, d)
+            leaf = leaves[lexeme] = (_Below, -n if minus else n, d) if below else (_literal, n, d)
         order.append(leaf)
         # An operand is done: apply its prefix minuses, then reduce what the
         # next lexeme closes, until that lexeme needs another operand.  Once
-        # the minuses are applied no Neg is on top, and none ever lies right
+        # the minuses are applied no neg is on top, and none ever lies right
         # under an operator, so pending[-1][0] reads only tuples.
         while True:
-            while pending and pending[-1] is Neg:
+            while pending and pending[-1] is neg:
                 order.append(pending.pop())
             lexeme = lexemes[i]
             word = lexeme[5]
@@ -256,160 +212,20 @@ def _postfix(text):
                 if any(lexeme):  # anything but the end
                     _fail(text, i - 1)
                 return order
-            _, cls, closer = pending.pop()
+            _, operation, closer = pending.pop()
             if word != closer:
                 _fail(text, i - 1)
             if closer == ",":
-                pending.append((0, cls, ")"))
+                pending.append((0, operation, ")"))
                 break
-            if cls is not None:
-                order.append(cls)
-
-
-# The marker of the AST walk: the node class under it follows its operands.
-_DONE = object()
-
-
-def _postorder(node):
-    """The postfix order of an AST, as _postfix gives it for the text the
-    AST was parsed from.  Raises TypeError for anything that is not a node,
-    so before any fold reads an operand."""
-    order = []
-    todo = [node]
-    while todo:
-        node = todo.pop()
-        if node is _DONE:
-            order.append(todo.pop())
-        elif type(node) not in _NODES:
-            raise TypeError("not an expression node: %r" % (node,))
-        elif isinstance(node, _Binary):
-            todo += (type(node), _DONE, node.right, node.left)
-        elif isinstance(node, _Unary):
-            todo += (type(node), _DONE, node.operand)
-        else:
-            q = node.value
-            order.append((type(node), q.numerator, q.denominator))
-    return order
-
-
-def _fold(order, leaf, operation):
-    """Reduce a postfix order on a stack of results: leaf(cls, n, d) for
-    each literal n/d, and operation(cls, *results) of each operation's
-    operands.  Results are made left to right, so a left operand's before a
-    right.  parse and format_expr fold with it; they are off the CLI's
-    answering path, and _build reads the order in a loop of its own."""
-    results = []
-    for item in order:
-        if type(item) is tuple:
-            results.append(leaf(*item))
-        elif item is Neg or item is Abs:
-            results[-1] = operation(item, results[-1])
-        else:
-            right = results.pop()
-            results[-1] = operation(item, results[-1], right)
-    return results[0]
-
-
-def _node(cls, *operands):
-    return cls(*operands)
-
-
-def _node_leaf(cls, n, d):
-    return cls(_coprime(n, d))
-
-
-def parse(text):
-    """Parse an expression into its AST; raises ParseError with a position
-    on bad input.  The CLI does not call it: build_real reads text straight
-    into its postfix order."""
-    return _fold(_postfix(text), _node_leaf, _node)
-
-
-def _divide(numer, denom, witness_fuel):
-    witness = find_apart_witness(denom, witness_fuel)
-    if witness is None:
-        raise WitnessSearchError(witness_fuel)
-    return mul(numer, recip_witnessed(denom, witness))
-
-
-# Node class -> (print template, reals operation).  A literal's operation
-# takes its numerator and denominator in lowest terms; the others take their
-# operands' reals, and division also the witness budget.  + and - have only
-# a template: _build makes every chain of them one signed sum.  Binary
-# operations print fully parenthesized, and a division's right operand gets
-# its own parentheses so an integer/integer pair is not re-folded into a
-# literal.
-_NODES = {
-    RatLit: ("%s", lambda n, d: CReal(exact=_coprime(n, d))),
-    FromBelow: ("below(%s)", _Below),
-    Neg: ("-%s", neg),
-    Abs: ("abs(%s)", absolute),
-    Add: ("(%s + %s)",),
-    Sub: ("(%s - %s)",),
-    Mul: ("(%s * %s)", mul),
-    Div: ("(%s / (%s))", _divide),
-    Max: ("max(%s, %s)", join),
-    Min: ("min(%s, %s)", meet),
-}
-
-def _print_leaf(cls, n, d):
-    return _NODES[cls][0] % format_rat(_coprime(n, d))
-
-
-def _print_operation(cls, *texts):
-    return _NODES[cls][0] % texts
-
-
-def format_expr(node):
-    """Print an expression so that parsing the output reproduces the AST.
-
-    That holds for every AST the parser makes.  The parser makes negative
-    literals only inside below(...); elsewhere a negative RatLit prints as
-    -p/q, which parses as Neg of the positive literal, the same value.
-    Like parse, it is off the CLI's answering path.
-    """
-    return _fold(_postorder(node), _print_leaf, _print_operation)
-
-
-def build_real(expr, witness_fuel=64):
-    """Evaluate an expression, an AST or its text, into a real.
-
-    Division searches an apartness witness for its denominator within
-    witness_fuel stages; a failed search raises WitnessSearchError rather
-    than returning a bogus real.  Text is read into its postfix order whole
-    before anything is built, so a ParseError anywhere in it comes before
-    every witness search; it builds no AST.
-
-    A + or - makes an open list of signs and terms, such as the parser's
-    a + b - c makes one of three, and each + or - whose left operand it is
-    appends to it.  Any other use of it, as the operand of another
-    operation or the right operand of a + or -, and the end of the build
-    close it.  A chain closes to one signed sum (reals.signed_sum), which
-    reads each term at k + e + 1 for n <= 2**e terms and evaluates in one
-    frame however long it is; a lone + or - is its two-term case, add or
-    sub.
-
-    Equal subexpressions become one point, so its approximations and its
-    witness search are done once.  A table that lives for this call maps a
-    leaf's (class, numerator, denominator), an operation's (class, ids of
-    its operands' reals) and a chain's (signs, ids of its terms' reals) to
-    the real built for it; it holds every real whose id it uses, so no id
-    is reused while it lives.  A leaf's key is its triple in the postfix
-    order itself, and its real is made from the triple's integers only when
-    the key is new: a literal makes one Fraction, its exact tag, and a
-    below(...) leaf none (reals._Below).  A key costs O(1) per node, where
-    hashing the AST would cost its size.  _build reads the order in one loop
-    of its own, not through _fold's callbacks.
-
-    Left operands, and so their witness searches, are built first.
-    """
-    return _build(_postfix(expr) if isinstance(expr, str) else _postorder(expr),
-                  witness_fuel)
+            if operation is not None:
+                order.append(operation)
 
 
 def _close(result, shared):
-    """The real of a result of _build: an open chain [signs, term, term,
-    ...] is closed into one signed sum, shared by its signs and terms."""
+    """The real of a result of build_real's stack: an open chain [signs,
+    term, term, ...] is closed into one signed sum, shared by its signs and
+    terms."""
     if type(result) is not list:
         return result
     signs, *terms = result
@@ -421,29 +237,55 @@ def _close(result, shared):
     return real
 
 
-def _build(order, witness_fuel):
-    """The real of a postfix order, as build_real describes it: _fold's
-    loop, on a stack of reals and open chains, with each step written
-    inline rather than called."""
+def build_real(expr, witness_fuel=64):
+    """Evaluate an expression, its text or the postfix order parse gives
+    for it, into a real.
+
+    Division searches an apartness witness for its denominator within
+    witness_fuel stages; a failed search raises WitnessSearchError rather
+    than returning a bogus real.  Text is read into its postfix order whole
+    before anything is built, so a ParseError anywhere in it comes before
+    every witness search.
+
+    An add or sub makes an open list of signs and terms, such as the
+    parser's a + b - c makes one of three, and each add or sub whose left
+    operand it is appends to it.  Any other use of it, as the operand of
+    another operation or the right operand of an add or sub, and the end of
+    the build close it.  A chain closes to one signed sum (reals.signed_sum),
+    which reads each term at k + e + 1 for n <= 2**e terms and evaluates in
+    one frame however long it is; a lone + or - is its two-term case, add or
+    sub.
+
+    Equal subexpressions become one point, so its approximations and its
+    witness search are done once.  A table that lives for this call maps a
+    leaf's triple, an operation's (operation, ids of its operands' reals)
+    and a chain's (signs, ids of its terms' reals) to the real built for
+    it; it holds every real whose id it uses, so no id is reused while it
+    lives.  A leaf's key is its triple in the order itself, and its real is
+    made from the triple's integers only when the key is new.  A key costs
+    O(1) per node.
+
+    Left operands, and so their witness searches, are built first.
+    """
     shared = {}
     results = []
-    for item in order:
+    for item in parse(expr) if isinstance(expr, str) else expr:
         if type(item) is tuple:
             real = shared.get(item)
             if real is None:
-                cls, n, d = item
-                real = shared[item] = _NODES[cls][1](n, d)
+                make, n, d = item
+                real = shared[item] = make(n, d)
             results.append(real)
-        elif item is Add or item is Sub:
+        elif item is add or item is sub:
             right = _close(results.pop(), shared)
             left = results[-1]
             if type(left) is list:
-                left[0].append(item is Add)
+                left[0].append(item is add)
                 left.append(right)
             else:
-                results[-1] = [[True, item is Add], left, right]
+                results[-1] = [[True, item is add], left, right]
         else:
-            if item is Neg or item is Abs:
+            if item is neg or item is absolute:
                 operands = (_close(results.pop(), shared),)
             else:
                 right = results.pop()
@@ -451,8 +293,7 @@ def _build(order, witness_fuel):
             key = (item, *map(id, operands))
             real = shared.get(key)
             if real is None:
-                make = _NODES[item][1]
-                real = shared[key] = (make(*operands, witness_fuel) if make is _divide
-                                      else make(*operands))
+                real = shared[key] = (item(*operands, witness_fuel) if item is _divide
+                                      else item(*operands))
             results.append(real)
     return _close(results[0], shared)

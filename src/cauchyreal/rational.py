@@ -39,11 +39,10 @@ class Value:
 
     A value is built from its fields by position or keyword, equals only a
     value of its own class with equal fields, hashes and prints by its
-    fields, and refuses assignment.  ==, hash and repr run on explicit
-    stacks, so they take values nested to any depth.  copy and pickle
-    rebuild a value through its class, by __reduce__, since __setattr__
-    refuses the slot stores of the default; copy.deepcopy and pickle walk
-    the fields recursively themselves, so they recurse.
+    fields, and refuses assignment.  Its fields are compared, hashed and
+    printed as a tuple's are, so a value nested in another recurses, as in
+    a tuple.  copy and pickle rebuild a value through its class, by
+    __reduce__, since __setattr__ refuses the slot stores of the default.
     """
 
     __slots__ = ()
@@ -61,47 +60,14 @@ class Value:
         return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if isinstance(a, Value) and type(a) is type(b):
-                pairs += zip(a._values(), b._values())
-            elif not a == b:
-                return False
-        return True
-
-    def _fold(self, combine, show):
-        """combine(value, parts) for self, post-order on an explicit stack:
-        parts holds, for each field, the fold of a nested value, or show of
-        any other field."""
-        done = {}
-        todo = [self]
-        while todo:
-            value = todo[-1]
-            fields = value._values()
-            pending = [v for v in fields if isinstance(v, Value) and id(v) not in done]
-            if pending:
-                todo += pending
-            else:
-                done[id(todo.pop())] = combine(value, [
-                    done[id(v)] if isinstance(v, Value) else show(v) for v in fields])
-        return done[id(self)]
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
-        # Each nested value's hash stands in for the value, so a value
-        # holding none hashes as hash(self._values()).
-        return self._fold(lambda value, parts: hash(tuple(parts)), lambda field: field)
+        return hash(self._values())
 
     def __repr__(self):
-        def show(value, parts):
-            return "%s(%s)" % (type(value).__qualname__, ", ".join(
-                map("%s=%s".__mod__, zip(value.__slots__, parts))))
-
-        return self._fold(show, repr)
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            map("%s=%r".__mod__, zip(self.__slots__, self._values()))))
 
     def __setattr__(self, name, value=None):
         raise AttributeError("cannot set or delete %r: %s is immutable"

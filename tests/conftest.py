@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from cauchyreal.expressions import build_real, parse
+from cauchyreal.expressions import build_real
 
-from oracles import eval_exact
+from oracles import eval_exact, parse
 
 # Expression shapes, depth at most 6, covering every constructor the grammar
 # offers: literals in all three notations, unary minus, the four binary
@@ -82,12 +82,13 @@ CORPUS_TEXTS = [
 @dataclass
 class CorpusEntry:
     text: str
-    node: object
+    node: object  # the oracle's AST
     value: Fraction  # independent oracle denotation
 
     def build(self, witness_fuel=96):
-        """A fresh real for this entry; caches start empty."""
-        return build_real(self.node, witness_fuel)
+        """A fresh real for this entry, built from its text; caches start
+        empty."""
+        return build_real(self.text, witness_fuel)
 
     @property
     def generic(self):

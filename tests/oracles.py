@@ -7,10 +7,13 @@ asserts against these, agreement means two separate routes reached the same
 answer.  The one exception is the old compositions of |x| and of a
 reciprocal by a negative witness, out of the package's own operations: the
 one-node rules that replaced them must answer bit for bit as they did.
-The expression reference is a character lexer, tokenize, which reads
-integers with int() and a Decimal fallback of its own, and a
-recursive-descent parser on its tokens.  The command-line reference is argparse
-itself, given the table of forms that the package's own reader reads.
+The expression reference is an AST of the grammar, a character lexer,
+tokenize, which reads integers with int() and a Decimal fallback of its
+own, and a recursive-descent parser on its tokens into that AST.  postorder
+maps an AST to the postfix order the package's parse gives for its text,
+and format_expr prints an AST as text that parses back to it.  The
+command-line reference is argparse itself, given the table of forms that
+the package's own reader reads.
 """
 
 import argparse
@@ -22,12 +25,129 @@ from fractions import Fraction
 from string import ascii_letters, digits
 
 from cauchyreal import cli
-from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
-                                    Neg, ParseError, RatLit, Sub)
+from cauchyreal.expressions import ParseError, _divide, _literal
 from cauchyreal.partiality import (PENDING, STAR, TOP, Done, Partial, _Never, _Now,
                                    never)
-from cauchyreal.rational import dyadic
-from cauchyreal.reals import ApartnessWitness, join, neg, recip_witnessed
+from cauchyreal.rational import Value, dyadic, format_rat
+from cauchyreal.reals import (ApartnessWitness, _Below, absolute, add, join, meet, mul, neg,
+                              recip_witnessed, sub)
+
+
+class RatLit(Value):
+    __slots__ = ("value",)
+
+
+class FromBelow(Value):
+    """The canonical strictly-increasing approximation of a rational:
+    the limit of eps -> value - eps.  Denotes value, and carries no exact
+    tag, which makes it the stock generic-path test subject.  Its own
+    approximate never reports value; its integer answers, and what an
+    operation computes from them, may (see reals.from_below)."""
+
+    __slots__ = ("value",)
+
+
+class _Unary(Value):
+    __slots__ = ("operand",)
+
+
+class _Binary(Value):
+    __slots__ = ("left", "right")
+
+
+class Neg(_Unary):
+    """-operand"""
+
+
+class Abs(_Unary):
+    """|operand|"""
+
+
+class Add(_Binary):
+    """left + right"""
+
+
+class Sub(_Binary):
+    """left - right"""
+
+
+class Mul(_Binary):
+    """left * right"""
+
+
+class Div(_Binary):
+    """left / right"""
+
+
+class Max(_Binary):
+    """max(left, right)"""
+
+
+class Min(_Binary):
+    """min(left, right)"""
+
+
+# Node class -> its tag in the package's postfix order and its print
+# template.  Binary operations print fully parenthesized, and a division's
+# right operand gets its own parentheses so an integer/integer pair is not
+# re-folded into a literal.
+_NODES = {
+    RatLit: (_literal, "%s"),
+    FromBelow: (_Below, "below(%s)"),
+    Neg: (neg, "-%s"),
+    Abs: (absolute, "abs(%s)"),
+    Add: (add, "(%s + %s)"),
+    Sub: (sub, "(%s - %s)"),
+    Mul: (mul, "(%s * %s)"),
+    Div: (_divide, "(%s / (%s))"),
+    Max: (join, "max(%s, %s)"),
+    Min: (meet, "min(%s, %s)"),
+}
+_TEMPLATES = dict(_NODES.values())
+
+
+def postorder(node):
+    """The postfix order of an AST, as the package's parse gives it for the
+    text the AST was parsed from, by a post-order walk on an explicit
+    stack."""
+    order = []
+    todo = [node]
+    while todo:
+        item = todo.pop()
+        if not isinstance(item, Value):  # an operation, its operands done
+            order.append(item)
+        elif isinstance(item, (RatLit, FromBelow)):
+            q = item.value
+            order.append((_NODES[type(item)][0], q.numerator, q.denominator))
+        else:
+            todo += (_NODES[type(item)][0], *reversed(item._values()))
+    return order
+
+
+def format_order(order):
+    """Print a postfix order, the package's or postorder's, as text that
+    parses back to it, folding it on a stack of texts."""
+    texts = []
+    for item in order:
+        if type(item) is tuple:
+            tag, n, d = item
+            texts.append(_TEMPLATES[tag] % format_rat(Fraction(n, d)))
+        elif item is neg or item is absolute:
+            texts[-1] = _TEMPLATES[item] % texts[-1]
+        else:
+            right = texts.pop()
+            texts[-1] = _TEMPLATES[item] % (texts[-1], right)
+    return texts[0]
+
+
+def format_expr(node):
+    """Print an expression so that parsing the output reproduces the AST.
+
+    That holds for every AST the parser makes.  The parser makes negative
+    literals only inside below(...); elsewhere a negative RatLit prints as
+    -p/q, which parses as Neg of the positive literal, the same value.
+    """
+    return format_order(postorder(node))
 
 
 def eval_exact(node):
@@ -265,8 +385,9 @@ def tokenize(text):
     return tokens
 
 
-# A recursive-descent parser of the same grammar, one method per rule: the
-# reference the stack parser in expressions.parse is checked against.  It
+# A recursive-descent parser of the same grammar, one method per rule, into
+# the AST: the reference the stack parser in expressions.parse is checked
+# against, through postorder.  It
 # recurses four Python frames per level of nesting.
 class _Parser:
     def __init__(self, text):
@@ -377,7 +498,8 @@ class _Parser:
 
 
 def parse(text):
-    """Parse an expression; raises ParseError with a position on bad input."""
+    """Parse an expression into its AST; raises ParseError with a position
+    on bad input."""
     parser = _Parser(text)
     node = parser.expr()
     tail = parser.peek()
@@ -386,8 +508,14 @@ def parse(text):
     return node
 
 
+def recursive_order(text):
+    """The postfix order of the AST that the recursive-descent parser makes
+    of text."""
+    return postorder(parse(text))
+
+
 def parse_outcome(parse_text, text):
-    """The AST parse_text makes of text, or its ParseError's message and
+    """What parse_text makes of text, or its ParseError's message and
     position."""
     try:
         return parse_text(text)

@@ -16,11 +16,10 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from cauchyreal import (Enclosure, cli, dyadic, evaluate_enclosure, expressions,
-                        parse, reals)
+from cauchyreal import Enclosure, cli, dyadic, evaluate_enclosure, expressions, reals
 from cauchyreal.cli import decimal_digits, format_decimal, main
 
-from oracles import ARGPARSE_PARSER, ArgparseUsageError, argparse_read, eval_exact
+from oracles import ARGPARSE_PARSER, ArgparseUsageError, argparse_read, eval_exact, parse
 
 
 def run_main(argv):
@@ -761,7 +760,7 @@ def test_a_syntax_error_in_either_operand_beats_a_failing_division(bad):
 @pytest.mark.parametrize("argv, builder", [
     (["eval", "--prec", str(cli.MAX_BUDGET), "--", "1"], "build_real"),
     (["sign", "--fuel", str(cli.MAX_BUDGET), "--", "below(1)-1"], "build_real"),
-    (["compare", "--fuel", str(cli.MAX_BUDGET), "--", "below(1)", "1"], "_build"),
+    (["compare", "--fuel", str(cli.MAX_BUDGET), "--", "below(1)", "1"], "build_real"),
 ])
 def test_running_out_of_memory_reports_an_error(monkeypatch, argv, builder):
     # a stand-in for the allocation that fails, so no test allocates for real

@@ -8,11 +8,11 @@ from fractions import Fraction
 import pytest
 
 from cauchyreal import (ParseError, WitnessSearchError, build_real, dyadic, expressions,
-                        format_expr, from_below, parse)
-from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
-                                    Neg, RatLit, Sub)
+                        from_below, parse, reals)
 
-from oracles import eval_exact, parse as recursive_parse, parse_outcome, tokenize
+from oracles import (Abs, Add, Div, FromBelow, Max, Min, Mul, Neg, RatLit, Sub, eval_exact,
+                     format_expr, format_order, parse as recursive_parse, parse_outcome,
+                     postorder, recursive_order, tokenize)
 
 
 def test_tokenize_positions_and_kinds():
@@ -35,45 +35,45 @@ def test_tokenize_rejects_stray_character():
 
 def test_parse_reports_a_non_ascii_letter_or_digit_as_a_stray():
     for text in ("max\u00e9(1, 2)", "1 + \u00e9", "ab\u00dfc", "2\u00b2", "\u0661\u0662"):
-        assert parse_outcome(parse, text) == parse_outcome(recursive_parse, text)
+        assert parse_outcome(parse, text) == parse_outcome(recursive_order, text)
         with pytest.raises(ParseError, match="unexpected character"):
             parse(text)
 
 
 def test_fraction_literals_fold():
-    assert parse("1/3 + 1/6") == Add(RatLit(Fraction(1, 3)), RatLit(Fraction(1, 6)))
-    assert parse("1/2/3") == Div(RatLit(Fraction(1, 2)), RatLit(Fraction(3)))
+    assert parse("1/3 + 1/6") == postorder(Add(RatLit(Fraction(1, 3)), RatLit(Fraction(1, 6))))
+    assert parse("1/2/3") == postorder(Div(RatLit(Fraction(1, 2)), RatLit(Fraction(3))))
 
 
 def test_division_forms_stay_divisions():
-    assert parse("1/(1-1)") == Div(RatLit(Fraction(1)),
-                                   Sub(RatLit(Fraction(1)), RatLit(Fraction(1))))
+    assert parse("1/(1-1)") == postorder(Div(RatLit(Fraction(1)),
+                                             Sub(RatLit(Fraction(1)), RatLit(Fraction(1)))))
     # zero denominator cannot be a literal; it falls back to division
-    assert parse("1/0") == Div(RatLit(Fraction(1)), RatLit(Fraction(0)))
-    assert parse("(1)/3") == Div(RatLit(Fraction(1)), RatLit(Fraction(3)))
+    assert parse("1/0") == postorder(Div(RatLit(Fraction(1)), RatLit(Fraction(0))))
+    assert parse("(1)/3") == postorder(Div(RatLit(Fraction(1)), RatLit(Fraction(3))))
 
 
 def test_precedence_and_associativity():
-    assert parse("1+2*3") == Add(RatLit(Fraction(1)),
-                                 Mul(RatLit(Fraction(2)), RatLit(Fraction(3))))
-    assert parse("1-2-3") == Sub(Sub(RatLit(Fraction(1)), RatLit(Fraction(2))),
-                                 RatLit(Fraction(3)))
-    assert parse("-2*max(1, 3/2)") == Mul(Neg(RatLit(Fraction(2))),
-                                          Max(RatLit(Fraction(1)), RatLit(Fraction(3, 2))))
-    assert parse("2 - - 3") == Sub(RatLit(Fraction(2)), Neg(RatLit(Fraction(3))))
+    assert parse("1+2*3") == postorder(Add(RatLit(Fraction(1)),
+                                           Mul(RatLit(Fraction(2)), RatLit(Fraction(3)))))
+    assert parse("1-2-3") == postorder(Sub(Sub(RatLit(Fraction(1)), RatLit(Fraction(2))),
+                                           RatLit(Fraction(3))))
+    assert parse("-2*max(1, 3/2)") == postorder(
+        Mul(Neg(RatLit(Fraction(2))), Max(RatLit(Fraction(1)), RatLit(Fraction(3, 2)))))
+    assert parse("2 - - 3") == postorder(Sub(RatLit(Fraction(2)), Neg(RatLit(Fraction(3)))))
 
 
 def test_decimals_are_exact():
-    assert parse("3.14") == RatLit(Fraction(157, 50))
-    assert parse("-0.125") == Neg(RatLit(Fraction(1, 8)))
+    assert parse("3.14") == postorder(RatLit(Fraction(157, 50)))
+    assert parse("-0.125") == postorder(Neg(RatLit(Fraction(1, 8))))
 
 
 def test_functions_and_below():
-    assert parse("abs(-4/9)") == Abs(Neg(RatLit(Fraction(4, 9))))
-    assert parse("min(1, 2)") == Min(RatLit(Fraction(1)), RatLit(Fraction(2)))
-    assert parse("below(1/2)") == FromBelow(Fraction(1, 2))
-    assert parse("below(-2)") == FromBelow(Fraction(-2))
-    assert parse("below(2.5)") == FromBelow(Fraction(5, 2))
+    assert parse("abs(-4/9)") == postorder(Abs(Neg(RatLit(Fraction(4, 9)))))
+    assert parse("min(1, 2)") == postorder(Min(RatLit(Fraction(1)), RatLit(Fraction(2))))
+    assert parse("below(1/2)") == postorder(FromBelow(Fraction(1, 2)))
+    assert parse("below(-2)") == postorder(FromBelow(Fraction(-2)))
+    assert parse("below(2.5)") == postorder(FromBelow(Fraction(5, 2)))
 
 
 def test_syntax_error_positions():
@@ -128,19 +128,20 @@ def test_long_blank_and_zero_runs_read_in_linear_time():
              "1/" + zeros, "1/" + zeros + "x"]
     start = time.perf_counter()
     for text in texts:
-        assert parse_outcome(parse, text) == parse_outcome(recursive_parse, text)
+        assert parse_outcome(parse, text) == parse_outcome(recursive_order, text)
     assert time.perf_counter() - start < 2
 
 
 def test_round_trip_on_corpus(corpus):
     for entry in corpus:
         printed = format_expr(entry.node)
-        assert parse(printed) == entry.node
+        assert parse(printed) == parse(entry.text) == postorder(entry.node)
 
 
 def test_round_trip_keeps_divisions_divisions():
-    node = parse("(1)/3")
-    assert parse(format_expr(node)) == node
+    order = parse("(1)/3")
+    assert parse(format_order(order)) == order
+    assert order[-1] is expressions._divide
 
 
 def test_build_real_matches_oracle(corpus):
@@ -184,7 +185,7 @@ def test_build_real_witness_failure():
 
 def test_division_witness_budget():
     # denominator 2^-10 needs stages near 12; a budget of 3 cannot see it
-    node = Div(RatLit(Fraction(1)), FromBelow(Fraction(1, 1024)))
+    node = postorder(Div(RatLit(Fraction(1)), FromBelow(Fraction(1, 1024))))
     with pytest.raises(WitnessSearchError):
         build_real(node, witness_fuel=3)
     point = build_real(node, witness_fuel=20)
@@ -193,9 +194,9 @@ def test_division_witness_budget():
 
 
 def test_eval_exact_agrees_on_frozen_values():
-    assert eval_exact(parse("2/7 + 3.5 * (1 - 2/3)")) == Fraction(61, 42)
-    assert eval_exact(parse("1/2/3")) == Fraction(1, 6)
-    assert eval_exact(parse("min(max(below(-2), -1), max(below(2), 1))")) == -1
+    assert eval_exact(recursive_parse("2/7 + 3.5 * (1 - 2/3)")) == Fraction(61, 42)
+    assert eval_exact(recursive_parse("1/2/3")) == Fraction(1, 6)
+    assert eval_exact(recursive_parse("min(max(below(-2), -1), max(below(2), 1))")) == -1
 
 
 def test_sharing_keys_on_class_and_operands():
@@ -203,23 +204,22 @@ def test_sharing_keys_on_class_and_operands():
     # Add with Sub or a literal with below() of the same value would show
     for text in ("(below(1) + below(2)) * (below(1) - below(2))",
                  "2 * below(2)", "below(2) - 2"):
-        node = parse(text)
-        point = build_real(node)
+        point = build_real(parse(text))
         assert point.exact is None
         eps = dyadic(30)
-        assert abs(point.approximate(eps) - eval_exact(node)) <= eps
+        assert abs(point.approximate(eps) - eval_exact(recursive_parse(text))) <= eps
 
 
 def test_equal_subtrees_build_one_point(monkeypatch):
+    # a below() leaf's triple holds the maker that parse finds, and * the
+    # operation in parse's table of binary operators
     built = []
-    for cls in (FromBelow, Mul):
-        template, operation = expressions._NODES[cls]
 
-        def counting(*args, cls=cls, operation=operation):
-            built.append(cls.__name__)
-            return operation(*args)
+    def counting(name, operation):
+        return lambda *args: built.append(name) or operation(*args)
 
-        monkeypatch.setitem(expressions._NODES, cls, (template, counting))
+    monkeypatch.setattr(expressions, "_Below", counting("below", reals._Below))
+    monkeypatch.setitem(expressions._BINARY, "*", (2, counting("mul", reals.mul)))
     # every chain of + and -, two terms included, is one signed sum, keyed
     # on its signs as well
     sums = []
@@ -228,7 +228,7 @@ def test_equal_subtrees_build_one_point(monkeypatch):
                         lambda terms, signs: sums.append(signs) or signed_sum(terms, signs))
     point = build_real(parse("(below(1) + below(1)) * (below(1) + below(1))"))
     # one below(1), one sum and the product
-    assert sorted(built) == ["FromBelow", "Mul"]
+    assert sorted(built) == ["below", "mul"]
     assert sums == [(True, True)]
     assert abs(point.approximate(dyadic(20)) - 4) <= dyadic(20)
     built.clear()
@@ -236,7 +236,7 @@ def test_equal_subtrees_build_one_point(monkeypatch):
     a_b_c = "(below(1) + below(2) - below(4))"
     point = build_real(parse(a_b_c + " * " + a_b_c))
     assert sums == [(True, True, False)]
-    assert sorted(built) == ["FromBelow"] * 3 + ["Mul"]
+    assert sorted(built) == ["below"] * 3 + ["mul"]
     assert abs(point.approximate(dyadic(20)) - 1) <= dyadic(20)
     sums.clear()
     point = build_real(parse(a_b_c + " * (below(1) - below(2) + below(4))"))
@@ -252,20 +252,20 @@ def test_equal_subtrees_build_one_point(monkeypatch):
 def test_equal_literals_build_one_leaf(monkeypatch, text):
     # a literal's key is its value in lowest terms, however it is written
     built = []
-    for cls in (RatLit, FromBelow):
-        template, operation = expressions._NODES[cls]
+    for name in ("_literal", "_Below"):
+        make = getattr(expressions, name)
 
-        def counting(n, d, operation=operation):
+        def counting(n, d, make=make):
             built.append((n, d))
-            return operation(n, d)
+            return make(n, d)
 
-        monkeypatch.setitem(expressions._NODES, cls, (template, counting))
+        monkeypatch.setattr(expressions, name, counting)
     for expr in (text, parse(text)):
         built.clear()
         point = build_real(expr)
         assert len(built) == 1 and Fraction(*built[0]).as_integer_ratio() == built[0]
         eps = dyadic(20)
-        assert abs(point.approximate(eps) - eval_exact(parse(text))) <= eps
+        assert abs(point.approximate(eps) - eval_exact(recursive_parse(text))) <= eps
 
 
 _REPEATS = ("below( 2 / 4 ) + below(2/4) * below(1/2) - 2.50 + 5/2 - 2.5 + below(-0)"
@@ -277,8 +277,8 @@ _REPEATS = ("below( 2 / 4 ) + below(2/4) * below(1/2) - 2.50 + 5/2 - 2.5 + below
 def test_repeated_leaves_keep_the_recursive_descent_order(text):
     # each distinct leaf lexeme is read once; its repeats, however spelled,
     # append the triple that the oracle's parse gives them
-    order = expressions._postfix(text)
-    assert order == expressions._postorder(recursive_parse(text))
+    order = parse(text)
+    assert order == recursive_order(text)
     leaves = [item for item in order if type(item) is tuple]
     assert leaves[0] is leaves[1]
 
@@ -287,9 +287,9 @@ def test_a_repeated_literal_past_the_digit_limit_reads_through_decimal():
     # int() refuses more than 4,300 digits; parse_int's Decimal reads them
     digits = "7" * 4400 + "1"
     big = int(Decimal(digits))
-    order = expressions._postfix("%s + below(%s/7) - %s + below( %s / 7 )" % ((digits,) * 4))
+    order = parse("%s + below(%s/7) - %s + below( %s / 7 )" % ((digits,) * 4))
     leaves = [item for item in order if type(item) is tuple]
-    assert leaves == [(RatLit, big, 1), (FromBelow, big, 7)] * 2
+    assert leaves == [(expressions._literal, big, 1), (reals._Below, big, 7)] * 2
     assert leaves[0] is leaves[2] and leaves[1] is leaves[3]
 
 
@@ -298,7 +298,7 @@ def test_each_distinct_leaf_lexeme_is_read_once(monkeypatch):
     parse_int = expressions.parse_int
     monkeypatch.setattr(expressions, "parse_int", lambda digits: read.append(digits)
                         or parse_int(digits))
-    expressions._postfix(_REPEATS[0])
+    parse(_REPEATS[0])
     # below(2/4), below(1/2), 2.50, 5/2, 2.5, below(-0) and below(0): the
     # lexemes below( 2 / 4 ) and below(2/4) are one, as are below(-0) and
     # below( - 0 )
@@ -317,24 +317,17 @@ DEEP = 10000
     ("-" * DEEP + "below(1)", "-" * DEEP + "below(1)", None),
 ], ids=["parentheses", "sum", "negations", "max", "negated_below"])
 def test_parse_build_and_print_have_no_depth_limit(text, printed, value):
-    # each nests deeper than the recursion limit
+    # each nests deeper than the recursion limit; the printer is the oracle's
     assert sys.getrecursionlimit() < DEEP // 2
-    node = parse(text)
-    assert format_expr(node) == printed
-    assert node == parse(printed)
-    assert build_real(node).exact == value
+    order = parse(text)
+    assert format_order(order) == printed
+    assert order == parse(printed)
+    assert build_real(order).exact == value
 
 
 def test_long_sum_round_trips_through_the_printer():
-    printed = format_expr(parse(" + ".join(["below(1/3)", "2.5", "-1", "3"] * (DEEP // 4))))
-    assert format_expr(parse(printed)) == printed
-
-
-def test_walks_reject_what_is_not_a_node():
-    node = Add(RatLit(Fraction(1)), Neg(Fraction(2)))
-    for walk in (format_expr, build_real):
-        with pytest.raises(TypeError, match="not an expression node: Fraction"):
-            walk(node)
+    printed = format_order(parse(" + ".join(["below(1/3)", "2.5", "-1", "3"] * (DEEP // 4))))
+    assert format_order(parse(printed)) == printed
 
 
 def test_a_syntax_error_anywhere_comes_before_any_witness_search(monkeypatch):
@@ -364,13 +357,4 @@ def test_witness_searches_run_left_before_right(monkeypatch):
         assert [round(x.approximate(eps)) for x in seen] == [2, 3]
         assert abs(point.approximate(eps) - Fraction(5, 6)) <= eps
 
-
-def test_a_non_node_fails_before_any_operand_is_built(monkeypatch):
-    # the AST is walked whole first, so the division left of the stray
-    # Fraction is never searched
-    monkeypatch.setattr(expressions, "find_apart_witness",
-                        lambda x, fuel: pytest.fail("searched a witness"))
-    node = Add(Div(RatLit(Fraction(1)), RatLit(Fraction(0))), Fraction(1))
-    with pytest.raises(TypeError, match="not an expression node: Fraction"):
-        build_real(node)
 

@@ -6,10 +6,11 @@ non-negative except inside below(...), as the parser makes them.  Garbled
 text, for the parser's error paths, is printed expressions with runs of
 tokens replaced, or the grammar's tokens in any order.  Signed sums of up
 to 60 terms are checked term by term against the exact sum.  Building a real
-from text is checked against building it from the parsed AST, and the
-one-node |x| and reciprocal against the compositions they replaced.  A
-product's bounds are checked against the exponents its operands' structure
-gives, and every node of random DAGs against its exact value.
+from text is checked against building it from the recursive-descent
+parser's AST, and the one-node |x| and reciprocal against the compositions
+they replaced.  A product's bounds are checked against the exponents its
+operands' structure gives, and every node of random DAGs against its exact
+value.
 """
 
 import re
@@ -21,18 +22,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from cauchyreal import (PENDING, ApartnessWitness, CompletionPoint, Done, absolute,
                         add, bound, build_real, dyadic, evaluate_enclosure,
-                        find_apart_witness, fires, format_expr, format_rat, from_below,
+                        find_apart_witness, fires, format_rat, from_below,
                         from_rat, interleave, is_positive, join, limit,
                         lt_rat_semidecide, meet, mul, neg, parse, recip_witnessed,
                         signed_sum, sub)
 from cauchyreal.cli import cmd_eval, decimal_digits, format_decimal
-from cauchyreal.expressions import (Abs, Add, Div, FromBelow, Max, Min, Mul,
-                                    Neg, RatLit, Sub)
 from cauchyreal.rational import ceil_log2
 from cauchyreal.reals import _apart
 
-from oracles import (composed_absolute, composed_recip_witnessed, eval_exact, full_scan_lt,
-                     linear_witness, parse as recursive_parse, parse_outcome)
+from oracles import (Abs, Add, Div, FromBelow, Max, Min, Mul, Neg, RatLit, Sub,
+                     composed_absolute, composed_recip_witnessed, eval_exact, format_expr,
+                     full_scan_lt, linear_witness, parse_outcome, postorder, recursive_order)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None,
                              max_examples=100)
@@ -66,7 +66,7 @@ def expressions(depth, literals=_NATURALS, divisors=_DIVISORS):
 def test_enclosures_are_exact_width_and_contain_the_value(node):
     value = eval_exact(node)
     text = format_expr(node)
-    generic = build_real(node).exact is None
+    generic = build_real(postorder(node)).exact is None
     for k in PRECISIONS:
         box = evaluate_enclosure(text, k)
         assert box.width == 2 * dyadic(k)
@@ -81,15 +81,16 @@ def test_enclosures_are_exact_width_and_contain_the_value(node):
 @PROPERTY_SETTINGS
 @given(expressions(5, divisors=_NATURALS))
 def test_printing_round_trips_parser_made_asts(node):
-    assert parse(format_expr(node)) == node
+    assert parse(format_expr(node)) == postorder(node)
 
 
 _BUILD_PRECISIONS = (0, 64, 300)
 
 
 def _same_build(text):
-    """build_real of the text and of its AST, fresh, answer alike."""
-    from_text, from_ast = build_real(text), build_real(parse(text))
+    """build_real of the text and of the recursive-descent parser's AST,
+    fresh, answer alike."""
+    from_text, from_ast = build_real(text), build_real(recursive_order(text))
     for k in _BUILD_PRECISIONS:
         assert from_text.approximate(dyadic(k)) == from_ast.approximate(dyadic(k))
 
@@ -130,7 +131,7 @@ def test_chains_build_from_text_as_from_the_ast(text):
 @given(expressions(5, divisors=_NATURALS))
 def test_stack_parser_reads_printed_asts_as_the_recursive_parser_does(node):
     text = format_expr(node)
-    assert parse_outcome(parse, text) == parse_outcome(recursive_parse, text)
+    assert parse_outcome(parse, text) == parse_outcome(recursive_order, text)
 
 
 _TOKENS = ("1", "0", "7", "1/0", "3/4", "2.5", "-", "+", "*", "/", ",", "(", ")",
@@ -158,15 +159,15 @@ def garbled_text(draw):
 @settings(PROPERTY_SETTINGS, max_examples=1000)
 @given(garbled_text())
 def test_stack_parser_fails_where_the_recursive_parser_does(text):
-    assert parse_outcome(parse, text) == parse_outcome(recursive_parse, text)
+    assert parse_outcome(parse, text) == parse_outcome(recursive_order, text)
 
 
 def test_negative_literal_prints_as_a_negation():
     # only below(...) makes a negative literal; elsewhere it reads back as Neg
     node = RatLit(Fraction(-2, 3))
     assert format_expr(node) == "-2/3"
-    assert parse(format_expr(node)) == Neg(RatLit(Fraction(2, 3)))
-    assert parse(format_expr(FromBelow(Fraction(-2, 3)))) == FromBelow(Fraction(-2, 3))
+    assert parse(format_expr(node)) == postorder(Neg(RatLit(Fraction(2, 3))))
+    assert parse(format_expr(FromBelow(Fraction(-2, 3)))) == postorder(FromBelow(Fraction(-2, 3)))
 
 
 _NEAR = st.fractions(min_value=-dyadic(40), max_value=dyadic(40),
@@ -177,11 +178,11 @@ _NEAR = st.fractions(min_value=-dyadic(40), max_value=dyadic(40),
 @given(expressions(4), _NEAR, st.integers(min_value=0, max_value=96))
 def test_lt_rat_and_sign_give_the_full_scan_verdict(node, offset, fuel):
     q = eval_exact(node) + offset
-    assert (lt_rat_semidecide(build_real(node), q).run(fuel)
-            == full_scan_lt(build_real(node), q).run(fuel))
+    assert (lt_rat_semidecide(build_real(postorder(node)), q).run(fuel)
+            == full_scan_lt(build_real(postorder(node)), q).run(fuel))
     # the sign of x - q, whose two scans share x - q's memo
     def shifted():
-        return sub(build_real(node), from_rat(q))
+        return sub(build_real(postorder(node)), from_rat(q))
 
     z = shifted()
     reference = interleave(full_scan_lt(neg(z), 0), full_scan_lt(z, 0))
@@ -197,7 +198,7 @@ def test_witness_scan_agrees_with_the_linear_scan(node, offset, fuel):
     q = eval_exact(node) + offset
 
     def fresh():
-        return sub(build_real(node), from_rat(q))
+        return sub(build_real(postorder(node)), from_rat(q))
 
     witness = find_apart_witness(fresh(), fuel)
     reference = linear_witness(fresh(), fuel)
@@ -221,9 +222,10 @@ def test_one_node_abs_and_reciprocal_answer_as_their_compositions(node, offset, 
     q = eval_exact(node) + offset
 
     def fresh():
-        return sub(build_real(node), from_rat(q))
+        return sub(build_real(postorder(node)), from_rat(q))
 
-    pairs = [(absolute(build_real(node)), composed_absolute(build_real(node))),
+    pairs = [(absolute(build_real(postorder(node))),
+              composed_absolute(build_real(postorder(node)))),
              (absolute(fresh()), composed_absolute(fresh()))]
     witness = find_apart_witness(fresh(), 96)
     if witness is not None:
@@ -247,9 +249,9 @@ def _opaque(x):
 def test_verdicts_on_opaque_points_are_sound(node, offset, fuel):
     value = eval_exact(node)
     q = value + offset
-    if fires(lt_rat_semidecide(_opaque(build_real(node)), q), fuel):
+    if fires(lt_rat_semidecide(_opaque(build_real(postorder(node))), q), fuel):
         assert value < q
-    witness = find_apart_witness(_opaque(sub(build_real(node), from_rat(q))), fuel)
+    witness = find_apart_witness(_opaque(sub(build_real(postorder(node)), from_rat(q))), fuel)
     if witness is not None:
         assert witness.positive == (offset < 0)
         assert witness.gap <= abs(offset)
@@ -284,7 +286,8 @@ def test_verdict_stages_are_monotone(node, offset, kind, warm):
     if kind in (0, 1):
         x, z = _edges(value, kind), _edges(-offset, kind)
     else:
-        x = build_real(node) if kind == "built" else _as_limit(build_real(node))
+        x = build_real(postorder(node))
+        x = x if kind == "built" else _as_limit(x)
         z = sub(x, from_rat(q))
     for k in warm:
         x.scaled(k)
