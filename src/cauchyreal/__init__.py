@@ -23,7 +23,7 @@ from .reals import (CReal, ZERO, ONE, ApartnessWitness,
                     lt_rat_semidecide, is_positive, compare_partial,
                     find_apart_witness)
 from .expressions import parse, build_real, ParseError, WitnessSearchError
-from .cli import Enclosure, evaluate_enclosure, main
+from .cli import main
 
 __all__ = [
     "Rat", "QPos", "close_q", "dyadic", "format_rat",
@@ -44,5 +44,5 @@ __all__ = [
     "find_apart_witness",
     "parse", "build_real",
     "ParseError", "WitnessSearchError",
-    "Enclosure", "evaluate_enclosure", "main",
+    "main",
 ]

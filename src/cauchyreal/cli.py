@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from .expressions import ParseError, WitnessSearchError, build_real, parse
 from .partiality import PENDING
-from .rational import Value, dyadic, format_int
+from .rational import dyadic, format_int
 from .reals import compare_partial, is_positive
 
 EXIT_OK = 0
@@ -55,37 +55,10 @@ EXIT_WITNESS = 2
 MAX_BUDGET = 2 ** 20
 
 
-class Enclosure(Value):
-    """An exact rational interval certified to contain a real."""
-
-    __slots__ = ("lo", "hi")
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-    def contains(self, q):
-        return self.lo <= q <= self.hi
-
-
 def _witness_fuel(witness_fuel, steps):
     """The division witness budget: witness_fuel if given, and otherwise
     max(64, steps + 8), where steps is the precision exponent or the fuel."""
     return witness_fuel if witness_fuel is not None else max(64, steps + 8)
-
-
-def evaluate_enclosure(text, prec_exponent, witness_fuel=None):
-    """Build text's real and enclose its value within radius 2**-prec_exponent.
-
-    Returns the midpoint's enclosure [m - eps, m + eps] where m is the
-    eps-approximant; both endpoints are exact rationals.  It is the
-    reference that eval's printer, which works on m's integers and makes
-    no endpoint Fraction, is property-tested against.
-    """
-    point = build_real(text, _witness_fuel(witness_fuel, prec_exponent))
-    eps = dyadic(prec_exponent)
-    mid = point.approximate(eps)
-    return Enclosure(mid - eps, mid + eps)
 
 
 def decimal_digits(prec_exponent):
@@ -273,6 +246,10 @@ _FORMS = {
 }
 _HELP = ("-h", "--help")
 _NEGATIVE_NUMBER = re.compile(r"-\d*\.?\d+$")
+# Each character str.splitlines breaks a line at, as its escape, so that a
+# usage message that echoes argv tokens stays one key=value line.
+_LINE_BREAKS = {ord(c): c.encode("unicode_escape").decode()
+                for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 class _UsageError(Exception):
@@ -373,7 +350,7 @@ def main(argv=None, out=None, err=None):
         read = _read_argv(sys.argv[1:] if argv is None else list(argv))
     except _UsageError as exc:
         hint = "hint=put flags first, then --, then the expression\n" if exc.hint else ""
-        err.write("error=usage\nmessage=%s\n%s" % (exc, hint))
+        err.write("error=usage\nmessage=%s\n%s" % (str(exc).translate(_LINE_BREAKS), hint))
         return EXIT_SYNTAX
     if read is None:
         # the help is this module's docstring; python -OO drops it, which

@@ -17,14 +17,17 @@ docstrings say where the halves go, and the constructions built from them
 inherit the split.  Built-in reals (see reals) take a second, integer path
 through the same points: a request for precision 2**-k is the integer k,
 the answer an integer m with |x - m * 2**-k| < 2**-k, and splits become
-offsets on k.  A built-in operation is data: its operands, each with its
-offset, an integer rule that combines their answers, and a magnitude
-exponent e with |x| <= 2**e or the rule that gives it from its operands'
-(_magnitude), which bounds products without evaluating their operands.
-CompletionPoint.scaled is the one place that reads operands, so evaluation
-takes one Python frame per level of nesting, however many operands a level
-has.  Procedures given here, such as limit's, stay opaque rational procedures;
-the integer path reaches them by rounding an approximant at 2**-(k+1).
+offsets on k.  A point's kind is its class.  CompletionPoint is an exact
+point or an opaque procedure; procedures given here, such as limit's, stay
+opaque rational procedures, which the integer path reaches by rounding an
+approximant at 2**-(k+1).  _Operation is a built-in operation, as data: its
+operands, each with its offset, an integer rule that combines their
+answers, and a magnitude exponent e with |x| <= 2**e or the rule that gives
+it from its operands' (_magnitude), which bounds products without
+evaluating their operands.  With no operands it is an integer leaf.  Its
+scaled is the one place that reads operands, so evaluation takes one
+Python frame per level of nesting, however many operands a level has.
+reals._Below, the below() leaf, is the third class.
 """
 
 import threading
@@ -46,31 +49,24 @@ class CompletionPoint:
 
     The underlying procedure must be a Cauchy approximation: values requested
     at eps and delta always lie strictly within eps + delta of each other, so
-    the point it denotes is determined.  A point has an opaque procedure
-    (approx, eps -> base element within eps), an integer one (scaled,
-    k -> integer m with |x - m * 2**-k| < 2**-k, for a real x), or both.
-    A subclass may give both as methods instead: reals._Below, the below()
-    leaf, is one object holding its numerator and denominator, with no
-    closure.
+    the point it denotes is determined.  A point of this class is exact or
+    opaque.  An exact point, built by eta, keeps its base element in `exact`
+    and answers every request with it; operations use the tag to fast-path
+    exact inputs.  An opaque point holds a procedure, approx, from eps to a
+    base element within eps.  Its scaled(k), an integer m with
+    |x - m * 2**-k| < 2**-k for a real x, rounds the approximant at
+    2**-(k+1).
 
-    Built-in operations on reals are a fourth kind, made by the package's
-    _operation: the point holds its operands, each a (point, offset) pair,
-    and an integer rule combine.  scaled(k) asks the operands, in their
-    listed order, for k + offset, and answers combine(k, m_1, ..., m_n) once
-    they have returned.  Reading the left operand before the right is what
-    serves Horner's rule p*x + c from one finest answer of x (see reals.mul).
+    Two subclasses hold the package's integer-path points.  _Operation, made
+    by _operation, is a built-in operation on reals, or with no operands an
+    integer leaf.  reals._Below, the below() leaf, is one object holding its
+    numerator and denominator, with both rules as methods and no closure.
+    The class default _operands = None marks every other point as a leaf.
 
     Points memoize the finest answer seen so far in one pair, _memo:
-    (eps, value) for an opaque procedure, (k, m) for an integer one or an
-    operation.  A coarser request may be served from it; that is sound
-    because a value within delta of the point is also within eps for
-    eps >= delta.  A point with both procedures answers approximate() with
-    the opaque one and scaled() with the integer one, which it does not
-    memoize.
-
-    Points carrying an exact base element (built by eta) keep it in `exact`
-    and answer every request with it; operations use the tag to fast-path
-    exact inputs.
+    (eps, value) for an opaque procedure, (k, m) for an operation.  A
+    coarser request may be served from it; that is sound because a value
+    within delta of the point is also within eps for eps >= delta.
 
     A real point also keeps its magnitude exponent in one slot, _e: an int
     e with |x| <= 2**e once known (see _magnitude), None for a leaf before
@@ -86,12 +82,14 @@ class CompletionPoint:
     reader sees the rule or one of them.
     """
 
-    __slots__ = ("_approx", "_scaled", "_operands", "exact", "_memo", "_e")
+    __slots__ = ("_approx", "exact", "_memo", "_e")
 
-    def __init__(self, approx=None, exact=None, scaled=None):
+    _operands = None
+
+    def __init__(self, approx=None, exact=None):
+        if approx is None and exact is None:
+            raise TypeError("a point needs an approx procedure or an exact value")
         self._approx = approx
-        self._scaled = scaled
-        self._operands = None
         self.exact = exact
         self._memo = None
         self._e = None
@@ -143,50 +141,67 @@ class CompletionPoint:
 
         Exact points round their rational, and opaque points their
         approximant at 2**-(k+1): each error is at most 2**-(k+1), the
-        approximant's strictly less.  A memoized (j, m) with j > k is rounded
-        by a shift, which moves it by at most 2**-(k+1) more.
+        approximant's strictly less.
         """
-        exact = self.exact
-        if exact is not None:
-            return round_div(exact.numerator << k, exact.denominator)
-        if self._approx is not None:
-            if self._scaled is not None:
-                return self._scaled(k)
+        value = self.exact
+        if value is None:
             value = self.approximate(dyadic(k + 1))
-            return round_div(value.numerator << k, value.denominator)
+        return round_div(value.numerator << k, value.denominator)
+
+    def __repr__(self):
+        if self.exact is not None:
+            return "<CompletionPoint exact=%r>" % (self.exact,)
+        return "<CompletionPoint>"
+
+
+class _Operation(CompletionPoint):
+    """A built-in operation on reals, declared as data (see _operation): its
+    operands, each a (point, offset) pair, and an integer rule combine.
+
+    scaled(k) asks the operands, in their listed order, for k + offset, and
+    answers combine(k, m_1, ..., m_n) once they have returned.  Reading the
+    left operand before the right is what serves Horner's rule p*x + c from
+    one finest answer of x (see reals.mul).  With no operands it is an
+    integer leaf, combine(k).  The answer is memoized as (k, m), and a
+    memoized (j, m) with j > k is rounded by a shift, which moves it by at
+    most 2**-(k+1) more.
+    """
+
+    __slots__ = ("_operands", "_combine")
+
+    def __init__(self, combine, operands, magnitude):
+        self._approx = self.exact = self._memo = None
+        self._e = magnitude
+        self._combine = combine
+        self._operands = operands
+
+    def scaled(self, k):
         memo = self._memo
         if memo is not None and memo[0] >= k:
             j, m = memo
             return m if j == k else (m + (1 << (j - k - 1))) >> (j - k)
-        # Computed outside the lock, as in approximate().  An operation's
-        # operands are read here, in their listed order, and combined once
-        # they have returned: one frame per level of nesting.
+        # Computed outside the lock, as in approximate().  The operands are
+        # read here, in their listed order, and combined once they have
+        # returned: one frame per level of nesting.
         operands = self._operands
-        if operands is None:
-            m = self._scaled(k)
-        elif len(operands) == 1:
+        if len(operands) == 1:
             (x, i), = operands
-            m = self._scaled(k, x.scaled(k + i))
+            m = self._combine(k, x.scaled(k + i))
         elif len(operands) == 2:
             (x, i), (y, j) = operands
-            m = self._scaled(k, x.scaled(k + i), y.scaled(k + j))
+            m = self._combine(k, x.scaled(k + i), y.scaled(k + j))
         else:
             # A loop: up to Python 3.11 a comprehension would make k a
             # cell variable, which slows every read of it above.
             ms = []
             for x, i in operands:
                 ms.append(x.scaled(k + i))
-            m = self._scaled(k, *ms)
+            m = self._combine(k, *ms)
         with _STORE:
             memo = self._memo
             if memo is None or k > memo[0]:
                 self._memo = (k, m)
         return m
-
-    def __repr__(self):
-        if self.exact is not None:
-            return "<CompletionPoint exact=%r>" % (self.exact,)
-        return "<CompletionPoint>"
 
 
 class CompletionSpace(PremetricCarrier):
@@ -233,9 +248,9 @@ def eta(value):
 def _operation(exact, combine, *operands, magnitude=None):
     """The point of a built-in operation, declared as data.
 
-    operands are (point, offset) pairs, any number: scaled(k) asks each
-    point, in the listed order, for k + offset, and answers
-    combine(k, m_1, ..., m_n) of their integers.  If exact is given and
+    operands are (point, offset) pairs, any number, and none for an integer
+    leaf: scaled(k) asks each point, in the listed order, for k + offset,
+    and answers combine(k, m_1, ..., m_n) of their integers.  If exact is given and
     every operand is exact, the point is exact instead, with
     exact(x_1, ..., x_n) of their rationals: every operation of reals but
     signed_sum, which folds its exact terms itself, gives its exact rule
@@ -249,10 +264,7 @@ def _operation(exact, combine, *operands, magnitude=None):
                 break
         else:
             return CompletionPoint(exact=exact(*[x.exact for x, _ in operands]))
-    point = CompletionPoint(scaled=combine)
-    point._operands = operands
-    point._e = magnitude
-    return point
+    return _Operation(combine, operands, magnitude)
 
 
 def _magnitude(x):

@@ -18,7 +18,7 @@ real is made once per value: a literal's Fraction is its exact tag, and a
 below(...) leaf is one object that makes no Fraction.  build_real makes a
 chain of + and - one signed sum of all its terms, so a sum of any length
 evaluates in one frame.  Approximating other nesting still recurses, one
-frame per level (CompletionPoint.scaled reads an operation's operands), so
+frame per level (completion._Operation.scaled reads its operands), so
 about 990 levels of it evaluate at the default recursion limit, and the
 CLI reports deeper nesting as error=depth.
 

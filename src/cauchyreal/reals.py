@@ -15,7 +15,7 @@ the rationals, so these dyadic approximants m * 2**-k lose nothing, and they
 keep every approximant's size at k bits plus the value's.  Each operation
 states its precision split once, as data: its operands with their offsets
 o, its exact rule, and an integer rule combine(k, m_1, ..., m_n).
-CompletionPoint.scaled asks the operands for k + o, and combine rounds
+completion._Operation.scaled asks the operands for k + o, and combine rounds
 their integers to the grid 2**-k, which costs at most 2**-(k+1).  The
 operands' share is therefore strictly below 2**-(k+1).  A sum of n terms,
 each added or subtracted, is one such operation, signed_sum: it is
@@ -89,8 +89,9 @@ class _Below(CompletionPoint):
 
     The method _approx stands in for the slot of the opaque procedure, so
     CompletionPoint.approximate calls it and memoizes its answers as for
-    any opaque point.  scaled is the integer rule itself, unmemoized, so
-    the slot _scaled is never set.
+    any opaque point.  scaled overrides the opaque point's rounding with
+    the integer rule itself, unmemoized.  It has no operands, so bound and
+    _magnitude read it as a leaf.
     """
 
     __slots__ = ("n", "d")
@@ -98,7 +99,7 @@ class _Below(CompletionPoint):
     def __init__(self, n, d):
         self.n = n
         self.d = d
-        self._operands = self.exact = self._memo = self._e = None
+        self.exact = self._memo = self._e = None
 
     def _approx(self, eps):
         return _coprime(self.n, self.d) - _HALF * eps
@@ -241,11 +242,12 @@ def bound(x):
     than |x| since the answer is within 1 of x, and 2**e for an operation,
     from its magnitude exponent e (completion._magnitude).
 
-    A leaf is an exact point, an opaque one or an integer one with no
-    operands.  Reading an operation's e reads none of its operations, only
-    the leaves below it whose e is not yet known, each once, at k = 0.
+    A leaf is a point with no operands: an exact point, an opaque one, a
+    below() leaf or an integer leaf, an operation of no operands.  Reading
+    an operation's e reads none of its operations, only the leaves below it
+    whose e is not yet known, each once, at k = 0.
     """
-    if x._operands is None:
+    if not x._operands:
         return QPos(abs(x.scaled(0)) + 2)
     return QPos(1 << _magnitude(x))
 
@@ -268,7 +270,7 @@ def mul(x, y, x_bound=None, y_bound=None):
     and rounding U*V to the grid adds at most 2**-(k+1).  The product's own
     magnitude exponent is ea + eb.
 
-    x is listed, and CompletionPoint.scaled reads operands in order, so x is
+    x is listed, and _Operation.scaled reads operands in order, so x is
     read before y.  In a left-deep chain of products with one shared right
     operand, such as Horner's rule u*x + c, the innermost mul then asks the
     shared point for the finest precision first, and each outer mul's

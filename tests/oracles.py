@@ -12,6 +12,9 @@ tokenize, which reads integers with int() and a Decimal fallback of its
 own, and a recursive-descent parser on its tokens into that AST.  postorder
 maps an AST to the postfix order the package's parse gives for its text,
 and format_expr prints an AST as text that parses back to it.  The
+enclosure reference, evaluate_enclosure, takes the package's own
+eps-approximant m and makes [m - eps, m + eps] with Fraction arithmetic,
+which eval's printer, working on m's integers, must match.  The
 command-line reference is argparse itself, given the table of forms that
 the package's own reader reads.
 """
@@ -25,7 +28,7 @@ from fractions import Fraction
 from string import ascii_letters, digits
 
 from cauchyreal import cli
-from cauchyreal.expressions import ParseError, _divide, _literal
+from cauchyreal.expressions import ParseError, _divide, _literal, build_real
 from cauchyreal.partiality import (PENDING, STAR, TOP, Done, Partial, _Never, _Now,
                                    never)
 from cauchyreal.rational import Value, dyadic, format_rat
@@ -191,6 +194,33 @@ def composed_recip_witnessed(x, witness):
     if witness.positive:
         return recip_witnessed(x, witness)
     return neg(recip_witnessed(neg(x), ApartnessWitness(True, witness.gap)))
+
+
+class Enclosure(Value):
+    """An exact rational interval certified to contain a real."""
+
+    __slots__ = ("lo", "hi")
+
+    @property
+    def width(self):
+        return self.hi - self.lo
+
+    def contains(self, q):
+        return self.lo <= q <= self.hi
+
+
+def evaluate_enclosure(text, prec_exponent, witness_fuel=None):
+    """Build text's real and enclose its value within radius 2**-prec_exponent.
+
+    Returns the midpoint's enclosure [m - eps, m + eps] where m is the
+    eps-approximant; both endpoints are exact rationals.  It is the
+    reference that eval's printer, which works on m's integers and makes
+    no endpoint Fraction, is property-tested against.
+    """
+    point = build_real(text, cli._witness_fuel(witness_fuel, prec_exponent))
+    eps = dyadic(prec_exponent)
+    mid = point.approximate(eps)
+    return Enclosure(mid - eps, mid + eps)
 
 
 def norm_pair(n, d):

@@ -16,13 +16,13 @@ from io import StringIO
 from cauchyreal import (ApartnessWitness, LipschitzFn, PENDING, QPos,
                         RATIONALS, TOP, ZERO, ONE, absolute, add, bound,
                         build_real, check_cauchy, countable_sup, dyadic,
-                        dyadic_pairs, eta, evaluate_enclosure,
+                        dyadic_pairs, eta,
                         extend_lipschitz, find_apart_witness, fires, from_rat,
                         interleave, is_positive, join, join_sier, limit,
                         lt_rat_semidecide, main, meet, monad_join, monad_map,
                         mul, neg, never, parse, recip_witnessed, sub, sup_seq)
 
-from oracles import ceil_log2
+from oracles import ceil_log2, evaluate_enclosure
 
 SEED = 20260825
 EPS_SWEEP = (dyadic(8), dyadic(32), dyadic(128))

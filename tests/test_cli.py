@@ -16,10 +16,11 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from cauchyreal import Enclosure, cli, dyadic, evaluate_enclosure, expressions, reals
+from cauchyreal import cli, dyadic, expressions, reals
 from cauchyreal.cli import decimal_digits, format_decimal, main
 
-from oracles import ARGPARSE_PARSER, ArgparseUsageError, argparse_read, eval_exact, parse
+from oracles import (ARGPARSE_PARSER, ArgparseUsageError, Enclosure, argparse_read, eval_exact,
+                     evaluate_enclosure, parse)
 
 
 def run_main(argv):
@@ -333,6 +334,21 @@ def test_usage_errors_are_worded_as_argparse_words_them(argv, message):
     code, out, err = run_main(argv)
     assert (code, out) == (1, "")
     assert err.startswith("error=usage\nmessage=%s\n" % message)
+
+
+@pytest.mark.parametrize("line_break", ["\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                        "\x85", "\u2028", "\u2029"])
+@pytest.mark.parametrize("token", ["x%sy", "-x%sy"])
+def test_a_usage_message_that_echoes_a_line_break_stays_one_line(token, line_break):
+    # "unrecognized arguments: ..." echoes the tokens it names, here after
+    # eval's one expression, and the second as a flag of no command, which
+    # adds the hint; each character that str.splitlines breaks a line at is
+    # written escaped
+    token %= line_break
+    code, out, err = run_main(["eval", "1", token])
+    assert (code, out) == (1, "")
+    assert all("=" in line for line in err.splitlines()), err
+    assert "message=unrecognized arguments: %s\n" % token.encode("unicode_escape").decode() in err
 
 
 _BUDGETS = ["0", "64", " 7", "1_0", "+3", str(cli.MAX_BUDGET)]

@@ -8,13 +8,13 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from cauchyreal import (RATIONALS, CompletionSpace, LipschitzFn, QPos,
+from cauchyreal import (RATIONALS, CompletionPoint, CompletionSpace, LipschitzFn, QPos,
                         check_cauchy, close_semidecide, dyadic, dyadic_pairs,
                         eta, extend_lipschitz, extend_lipschitz2, fires,
                         lim_pointwise, limit, monad_join, monad_map)
 
-from cauchyreal.completion import _operation
-from cauchyreal.reals import absolute, add, from_below, mul, neg, sub
+from cauchyreal.completion import _magnitude, _Operation, _operation
+from cauchyreal.reals import _Below, absolute, add, bound, from_below, mul, neg, sub
 
 from oracles import first_k_with_margin
 
@@ -173,6 +173,48 @@ def test_an_operation_of_three_operands_folds_only_when_all_are_exact():
     inexact = point(below(1))
     assert inexact.exact is None
     assert inexact.scaled(10) == 2 * 341 + below(1).scaled(10)
+
+
+def test_a_points_kind_is_its_class():
+    # CompletionPoint is an exact or an opaque point; only an operation
+    # holds operands and a rule, and every other point reads as a leaf
+    assert CompletionPoint.__slots__ == ("_approx", "exact", "_memo", "_e")
+    assert _Operation.__slots__ == ("_operands", "_combine")
+    assert _Below.__slots__ == ("n", "d")
+    with pytest.raises(TypeError):
+        CompletionPoint(scaled=lambda k: 0)
+    with pytest.raises(TypeError):
+        CompletionPoint()
+    assert type(neg(below(1))) is _Operation
+    assert type(_operation(None, lambda k: 0)) is _Operation
+    for point in (eta(Fraction(1)), below(1), from_below(Fraction(1, 3))):
+        assert point._operands is None
+
+
+@pytest.mark.parametrize("q", [Fraction(5, 3), Fraction(-7, 2), Fraction(1, 9), Fraction(0)])
+def test_a_nullary_operation_is_a_memoized_integer_leaf(q):
+    # _operation(None, rule) computes rule(k) once for each finer k, and
+    # serves a coarser k from its (k, m) memo by a rounding shift
+    calls = []
+
+    def rule(k):
+        calls.append(k)
+        return q.numerator * 2 ** k // q.denominator
+
+    x = _operation(None, rule)
+    m = x.scaled(40)
+    assert x._memo == (40, m) and calls == [40]
+    assert x.scaled(10) == (m + (1 << 29)) >> 30
+    assert x.approximate(dyadic(40)) == Fraction(m, 1 << 40)
+    assert calls == [40]
+    x.scaled(41)
+    assert calls == [40, 41] and x._memo[0] == 41
+    # bound and _magnitude read it as a leaf, from its answer m at k = 0:
+    # the bound |m| + 2, and the least e with |m| + 2 <= 2**e
+    m = rule(0)
+    assert bound(_operation(None, rule)) == abs(m) + 2
+    y = _operation(None, rule)
+    assert _magnitude(y) == (abs(m) + 1).bit_length() == y._e
 
 
 def test_underlying_procedure_is_cauchy():

@@ -21,18 +21,19 @@ from io import StringIO
 from hypothesis import example, given, settings, strategies as st
 
 from cauchyreal import (PENDING, ApartnessWitness, CompletionPoint, Done, absolute,
-                        add, bound, build_real, dyadic, evaluate_enclosure,
-                        find_apart_witness, fires, format_rat, from_below,
-                        from_rat, interleave, is_positive, join, limit,
-                        lt_rat_semidecide, meet, mul, neg, parse, recip_witnessed,
+                        add, bound, build_real, dyadic, find_apart_witness, fires,
+                        format_rat, from_below, from_rat, interleave, is_positive, join,
+                        limit, lt_rat_semidecide, meet, mul, neg, parse, recip_witnessed,
                         signed_sum, sub)
 from cauchyreal.cli import cmd_eval, decimal_digits, format_decimal
+from cauchyreal.completion import _operation
 from cauchyreal.rational import ceil_log2
 from cauchyreal.reals import _apart
 
 from oracles import (Abs, Add, Div, FromBelow, Max, Min, Mul, Neg, RatLit, Sub,
-                     composed_absolute, composed_recip_witnessed, eval_exact, format_expr,
-                     full_scan_lt, linear_witness, parse_outcome, postorder, recursive_order)
+                     composed_absolute, composed_recip_witnessed, eval_exact,
+                     evaluate_enclosure, format_expr, full_scan_lt, linear_witness,
+                     parse_outcome, postorder, recursive_order)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None,
                              max_examples=100)
@@ -269,7 +270,7 @@ def _edges(value, parity):
         t = value * 2 ** k
         return t.numerator // t.denominator + (t.denominator > 1 and k % 2 == parity)
 
-    return CompletionPoint(scaled=scaled)
+    return _operation(None, scaled)
 
 
 @PROPERTY_SETTINGS
@@ -320,7 +321,7 @@ def _edge(q, up):
         t = v * 2 ** k
         return -(-t.numerator // t.denominator) if up else t.numerator // t.denominator
 
-    return v, CompletionPoint(scaled=scaled)
+    return v, _operation(None, scaled)
 
 
 _SUM_TERMS = {

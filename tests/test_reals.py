@@ -15,6 +15,7 @@ from cauchyreal import (ONE, PENDING, STAR, TOP, ZERO, ApartnessWitness,
                         lt_rat_semidecide, meet, mul, neg, never, parse,
                         recip_witnessed, scale, signed_sum, sub)
 
+from cauchyreal.completion import _operation
 from cauchyreal.premetric import RATIONALS
 from cauchyreal.reals import _Below
 
@@ -207,7 +208,7 @@ def test_horner_chain_computes_its_shared_right_operand_once():
         calls.append(k)
         return ((1 << k) + 1) // 3
 
-    x = CompletionPoint(scaled=third)
+    x = _operation(None, third)
     p = ONE
     for _ in range(8):
         p = add(mul(p, x), ONE)
@@ -226,7 +227,7 @@ def test_building_a_horner_chain_evaluates_no_operation():
         calls.append(k)
         return ((1 << k) + 1) // 3
 
-    x = CompletionPoint(scaled=third)
+    x = _operation(None, third)
     p = ONE
     for c in range(64):
         p = add(mul(p, x), from_rat(c - 31))
@@ -234,7 +235,7 @@ def test_building_a_horner_chain_evaluates_no_operation():
     operations, stack = [], [p]
     while stack:
         point = stack.pop()
-        if point._operands is not None:
+        if point._operands:
             operations.append(point)
             stack.extend(y for y, _ in point._operands)
     assert len(operations) == 128
@@ -350,15 +351,30 @@ def test_lt_rat_verdict_at_fixed_fuel_reads_the_memo():
     assert s.run(11) == Done(STAR)
 
 
+class _BothRules(CompletionPoint):
+    """An opaque point with an integer rule of its own, as reals._Below
+    has: scaled overrides the opaque point's rounding and does not memoise
+    its answers."""
+
+    __slots__ = ("rule",)
+
+    def __init__(self, approx, rule):
+        super().__init__(approx)
+        self.rule = rule
+
+    def scaled(self, k):
+        return self.rule(k)
+
+
 def _recording_below_zero(polls):
     # from_below(0)'s rules, recording the stage index k of each integer
-    # request; a point with both procedures does not memoise its integer
-    # answers, so every poll of a stage is recorded
+    # request; the integer rule is not memoised, so every poll of a stage
+    # is recorded
     def scaled(k):
         polls.append(k)
         return 0
 
-    return CompletionPoint(lambda eps: -eps / 2, scaled=scaled)
+    return _BothRules(lambda eps: -eps / 2, scaled)
 
 
 def test_lt_rat_polls_logarithmically_many_stages():
@@ -396,7 +412,7 @@ def test_lt_rat_polls_the_stage_before_the_last():
             polls.append(k)
             return 1 << (k - 12) if k >= 12 else k % 2
 
-        return CompletionPoint(lambda eps: dyadic(12), scaled=scaled)
+        return _BothRules(lambda eps: dyadic(12), scaled)
 
     def full_scan(x):
         return full_prefix_scan(lambda k: TOP if (x.scaled(k) + 2) * dyadic(k) < q

@@ -1,7 +1,7 @@
 """The contract of the package's immutable value classes, and of the
-oracles' AST classes built on the same base: construction by position and
-keyword, equality within a class only, hash and repr as a tuple's of the
-fields, immutability, and copy and pickle round trips."""
+oracles' AST classes and Enclosure, built on the same base: construction
+by position and keyword, equality within a class only, hash and repr as a
+tuple's of the fields, immutability, and copy and pickle round trips."""
 
 import copy
 import pickle
@@ -10,10 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from cauchyreal import ApartnessWitness, ContinuityModulus, Done, Enclosure, LipschitzFn
+from cauchyreal import ApartnessWitness, ContinuityModulus, Done, LipschitzFn
 
-from oracles import (Abs, Add, Div, FromBelow, Max, Min, Mul, Neg, RatLit, Sub, _Binary,
-                     _Unary)
+from oracles import (Abs, Add, Div, Enclosure, FromBelow, Max, Min, Mul, Neg, RatLit, Sub,
+                     _Binary, _Unary)
 
 
 def _leaf():
