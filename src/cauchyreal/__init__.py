@@ -8,7 +8,7 @@ division requires a certificate that the denominator is apart from zero.
 
 from .rational import Rat, QPos, close_q, dyadic, format_rat
 from .premetric import (PremetricCarrier, RationalSpace, RATIONALS,
-                        LipschitzFn, ContinuityModulus,
+                        LipschitzFn,
                         check_cauchy, check_limit, check_lipschitz, dyadic_pairs)
 from .partiality import (Partial, Done, PENDING, STAR, TOP,
                          now, never, fires, sup_seq, map_partial,
@@ -28,7 +28,7 @@ from .cli import main
 __all__ = [
     "Rat", "QPos", "close_q", "dyadic", "format_rat",
     "PremetricCarrier", "RationalSpace", "RATIONALS",
-    "LipschitzFn", "ContinuityModulus",
+    "LipschitzFn",
     "check_cauchy", "check_limit", "check_lipschitz", "dyadic_pairs",
     "Partial", "Done", "PENDING", "STAR", "TOP",
     "now", "never", "fires", "sup_seq", "map_partial",

@@ -61,7 +61,8 @@ class CompletionPoint:
     by _operation, is a built-in operation on reals, or with no operands an
     integer leaf.  reals._Below, the below() leaf, is one object holding its
     numerator and denominator, with both rules as methods and no closure.
-    The class default _operands = None marks every other point as a leaf.
+    Only an _Operation holds operands; _magnitude reads every other point
+    as a leaf.
 
     Points memoize the finest answer seen so far in one pair, _memo:
     (eps, value) for an opaque procedure, (k, m) for an operation.  A
@@ -83,8 +84,6 @@ class CompletionPoint:
     """
 
     __slots__ = ("_approx", "exact", "_memo", "_e")
-
-    _operands = None
 
     def __init__(self, approx=None, exact=None):
         if approx is None and exact is None:
@@ -164,10 +163,14 @@ class _Operation(CompletionPoint):
     one finest answer of x (see reals.mul).  With no operands it is an
     integer leaf, combine(k).  The answer is memoized as (k, m), and a
     memoized (j, m) with j > k is rounded by a shift, which moves it by at
-    most 2**-(k+1) more.
+    most 2**-(k+1) more.  Every approximant is a dyadic rational, so space
+    is RATIONALS as a class attribute, and eta and close_semidecide read
+    it without evaluating the operation.
     """
 
     __slots__ = ("_operands", "_combine")
+
+    space = RATIONALS
 
     def __init__(self, combine, operands, magnitude):
         self._approx = self.exact = self._memo = None

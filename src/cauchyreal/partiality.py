@@ -249,15 +249,9 @@ def countable_sup(f):
 def interleave(a, b):
     """Run two disjoint semi-decisions side by side, reporting which fired.
 
-    Done(True) once a fires, Done(False) once b fires.  The caller guarantees
-    a and b never both hold; a is inspected first at each fuel, which is
+    The join of a mapped to True and b mapped to False: Done(True) once a
+    fires, Done(False) once b fires.  The caller guarantees a and b never
+    both hold; join_sier inspects a first at each fuel, which is
     unobservable under that contract.
     """
-    def step(n):
-        if a.run(n) is not PENDING:
-            return Done(True)
-        if b.run(n) is not PENDING:
-            return Done(False)
-        return PENDING
-
-    return _FromStep(step)
+    return join_sier(map_partial(lambda _: True, a), map_partial(lambda _: False, b))

@@ -51,18 +51,11 @@ class LipschitzFn(Value):
         return self.fn(x)
 
     def modulus(self):
-        """The continuity modulus eps -> eps / constant induced by the constant."""
+        """The continuity modulus induced by the constant: the function
+        eps -> eps / constant, which maps a target output tolerance to a
+        sufficient input tolerance."""
         constant = QPos(self.constant)
-        return ContinuityModulus(lambda eps: QPos(Fraction(eps) / constant))
-
-
-class ContinuityModulus(Value):
-    """Maps a target output tolerance to a sufficient input tolerance."""
-
-    __slots__ = ("modulus",)
-
-    def __call__(self, eps):
-        return self.modulus(eps)
+        return lambda eps: QPos(Fraction(eps) / constant)
 
 
 def _values_at(x, precisions):

@@ -27,9 +27,11 @@ the node is built, so every rounding is a shift or one integer division.
 A product's bounds are structural: each operation also declares a
 magnitude exponent e with |x| <= 2**e, or its rule from its operands'
 (the larger e plus the sum's own e for a signed sum, ea + eb for a
-product, g for a reciprocal), and only leaves are read, once each, as
-|x.scaled(0)| + 2.  So building a product evaluates no operation, and a
-Horner chain's bounds cost one step per product (completion._magnitude).
+product, g for a reciprocal), and only leaves are read, once each, at
+k = 0.  So building a product evaluates no operation, and a Horner chain's
+bounds cost one step per product (completion._magnitude); bound(x) is
+2**e.  scale is a product, so mul is the one place a product's split is
+stated.
 
 Order on the reals is semi-decidable, not decidable: a strict inequality can
 be confirmed in finite fuel, equality can only stay pending forever.  The
@@ -90,8 +92,8 @@ class _Below(CompletionPoint):
     The method _approx stands in for the slot of the opaque procedure, so
     CompletionPoint.approximate calls it and memoizes its answers as for
     any opaque point.  scaled overrides the opaque point's rounding with
-    the integer rule itself, unmemoized.  It has no operands, so bound and
-    _magnitude read it as a leaf.
+    the integer rule itself, unmemoized.  It is not an operation, so
+    _magnitude reads it as a leaf.
     """
 
     __slots__ = ("n", "d")
@@ -160,8 +162,8 @@ def signed_sum(terms, signs):
 
 
 def _wider(c):
-    """The magnitude rule of an operation at most 2**c times as large as its
-    largest operand: a sum of at most 2**c terms, or a scaling by |q| < 2**c."""
+    """The magnitude rule of a sum of at most 2**c terms: at most 2**c times
+    as large as its largest term."""
     return lambda es: max(es) + c
 
 
@@ -215,17 +217,10 @@ def absolute(x):
 
 
 def scale(q, x):
-    """q * x for rational q.
-
-    With |q| < 2**e, x at k+e+1 is strictly within 2**-(k+e+1), which q
-    stretches to under 2**-(k+1); rounding q times that answer to the grid
-    2**-k is one integer division.
+    """q * x for rational q: the product mul(from_rat(q), x), so mul states
+    its precision split.  An exact x folds through mul's exact rule.
     """
-    q = Fraction(q)
-    n, d = q.numerator, q.denominator
-    e = (abs(n) // d).bit_length()
-    return _operation(lambda v: q * v, lambda k, m: round_div(n * m, d << (e + 1)), (x, e + 1),
-                      magnitude=_wider(e))
+    return mul(from_rat(q), x)
 
 
 def clamp(x, lo, hi):
@@ -238,17 +233,13 @@ def clamp(x, lo, hi):
 
 
 def bound(x):
-    """A rational b >= |x|: |x.scaled(0)| + 2 for a leaf, strictly greater
-    than |x| since the answer is within 1 of x, and 2**e for an operation,
-    from its magnitude exponent e (completion._magnitude).
+    """A rational b >= |x|: 2**e for x's magnitude exponent e
+    (completion._magnitude), a power of two, and strictly greater than |x|
+    for a leaf.
 
-    A leaf is a point with no operands: an exact point, an opaque one, a
-    below() leaf or an integer leaf, an operation of no operands.  Reading
-    an operation's e reads none of its operations, only the leaves below it
-    whose e is not yet known, each once, at k = 0.
+    Reading e reads none of x's operations, only the leaves below it whose
+    e is not yet known, each once, at k = 0.
     """
-    if not x._operands:
-        return QPos(abs(x.scaled(0)) + 2)
     return QPos(1 << _magnitude(x))
 
 

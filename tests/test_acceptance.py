@@ -261,14 +261,25 @@ def test_criterion_10_monad_laws(corpus):
     g_abs = LipschitzFn(lambda q: abs(q), one)
     composed = LipschitzFn(lambda q: abs(2 * q - 1), QPos(2))
     embed = LipschitzFn(lambda q: eta(q), one)
+    embed_twice = LipschitzFn(lambda q: eta(eta(q)), one)
+    # join and map f as maps on points, to lift once more: join is
+    # 1-Lipschitz, and map f is as Lipschitz as f
+    flatten = LipschitzFn(monad_join, one)
+    map_affine = LipschitzFn(monad_map(f_affine), f_affine.constant)
     for entry in corpus:
         x = entry.build()
+        xxx = monad_map(embed_twice)(x)
+        xx = monad_map(embed)(x)
         laws = (
             ("map id", monad_map(ident)(x), x),
             ("join eta", monad_join(eta(x)), x),
             ("join map-eta", monad_join(monad_map(embed)(x)), x),
             ("map compose", monad_map(composed)(x),
              monad_map(g_abs)(monad_map(f_affine)(x))),
+            ("join associative", monad_join(monad_join(xxx)),
+             monad_join(monad_map(flatten)(xxx))),
+            ("join natural", monad_join(monad_map(map_affine)(xx)),
+             monad_map(f_affine)(monad_join(xx))),
         )
         for name, lhs, rhs in laws:
             for eps in EPS_SWEEP:

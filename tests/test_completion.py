@@ -46,6 +46,22 @@ def test_eta_needs_carrier_for_unknown_values():
         eta("not a base element")
 
 
+def test_eta_of_a_deep_operation_evaluates_nothing():
+    # an operation's approximants are dyadic rationals, so its carrier is
+    # its class's: eta of 5,000 nested negations reads no answer and so
+    # cannot overflow the stack, while an opaque point is still read at
+    # eps = 1 and refused when its approximant has no carrier
+    x = from_below(1)
+    for _ in range(5000):
+        x = neg(x)
+    assert eta(x).exact is x
+    assert eta(x).space.base is RATIONALS
+    assert monad_join(eta(x)) is x
+    assert x._memo is None
+    with pytest.raises(TypeError):
+        eta(CompletionPoint(lambda eps: (1, 2)))
+
+
 def test_approximate_rejects_bad_precision():
     point = eta(Fraction(1))
     with pytest.raises(ValueError):
@@ -177,7 +193,7 @@ def test_an_operation_of_three_operands_folds_only_when_all_are_exact():
 
 def test_a_points_kind_is_its_class():
     # CompletionPoint is an exact or an opaque point; only an operation
-    # holds operands and a rule, and every other point reads as a leaf
+    # holds operands and a rule, and no other point has an _operands
     assert CompletionPoint.__slots__ == ("_approx", "exact", "_memo", "_e")
     assert _Operation.__slots__ == ("_operands", "_combine")
     assert _Below.__slots__ == ("n", "d")
@@ -188,7 +204,7 @@ def test_a_points_kind_is_its_class():
     assert type(neg(below(1))) is _Operation
     assert type(_operation(None, lambda k: 0)) is _Operation
     for point in (eta(Fraction(1)), below(1), from_below(Fraction(1, 3))):
-        assert point._operands is None
+        assert not hasattr(point, "_operands")
 
 
 @pytest.mark.parametrize("q", [Fraction(5, 3), Fraction(-7, 2), Fraction(1, 9), Fraction(0)])
@@ -209,10 +225,10 @@ def test_a_nullary_operation_is_a_memoized_integer_leaf(q):
     assert calls == [40]
     x.scaled(41)
     assert calls == [40, 41] and x._memo[0] == 41
-    # bound and _magnitude read it as a leaf, from its answer m at k = 0:
-    # the bound |m| + 2, and the least e with |m| + 2 <= 2**e
+    # _magnitude reads it as a leaf, from its answer m at k = 0: the least
+    # e with |m| + 2 <= 2**e, and bound is 2**e
     m = rule(0)
-    assert bound(_operation(None, rule)) == abs(m) + 2
+    assert bound(_operation(None, rule)) == 2 ** (abs(m) + 1).bit_length()
     y = _operation(None, rule)
     assert _magnitude(y) == (abs(m) + 1).bit_length() == y._e
 

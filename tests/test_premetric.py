@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cauchyreal import (RATIONALS, ContinuityModulus, LipschitzFn, QPos,
+from cauchyreal import (RATIONALS, LipschitzFn, QPos,
                         check_cauchy, check_limit, check_lipschitz,
                         dyadic, dyadic_pairs)
 
@@ -110,11 +110,6 @@ def test_modulus_delivers_output_tolerance():
         y = x + delta * Fraction(rng.randint(-99, 99), 100)
         assert RATIONALS.close(delta, x, y)
         assert RATIONALS.close(eps, f(x), f(y))
-
-
-def test_continuity_modulus_standalone():
-    modulus = ContinuityModulus(lambda eps: eps / 4)
-    assert modulus(Fraction(1, 2)) == Fraction(1, 8)
 
 
 def test_checkers_evaluate_each_precision_once():

@@ -388,10 +388,11 @@ def _bound_point(kind, q, memo):
 
 
 def _leaf_exponent(x):
-    """A leaf's e and bound: its bound is |m| + 2 for its answer m at k = 0,
-    a finer memo rounded to the grid 1, and e the least with bound <= 2**e."""
-    b = abs(x.scaled(0)) + 2
-    return ceil_log2(b, 1), b
+    """A leaf's e and bound: e is the least with |m| + 2 <= 2**e for its
+    answer m at k = 0, a finer memo rounded to the grid 1, and its bound
+    2**e."""
+    e = ceil_log2(abs(x.scaled(0)) + 2, 1)
+    return e, 2 ** e
 
 
 @PROPERTY_SETTINGS

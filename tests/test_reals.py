@@ -15,7 +15,7 @@ from cauchyreal import (ONE, PENDING, STAR, TOP, ZERO, ApartnessWitness,
                         lt_rat_semidecide, meet, mul, neg, never, parse,
                         recip_witnessed, scale, signed_sum, sub)
 
-from cauchyreal.completion import _operation
+from cauchyreal.completion import _magnitude, _operation
 from cauchyreal.premetric import RATIONALS
 from cauchyreal.reals import _Below
 
@@ -108,6 +108,18 @@ def test_scale_examples():
     assert scale(3, from_rat(Fraction(1, 3))).exact == 1
     x = scale(0, below(Fraction(7)))
     assert abs(x.approximate(dyadic(10))) <= dyadic(10)
+    # scale(q, x) is mul(from_rat(q), x): x is read at the offset the
+    # product gives it, k + e + 2 for q's magnitude exponent e (at q = 3,
+    # e = 3 and x is read at k + 5), and the two answer alike
+    for q in (3, Fraction(-7, 2), Fraction(1, 9), 0):
+        x = from_below(Fraction(5, 7))
+        scaled, product = scale(q, x), mul(from_rat(q), x)
+        assert scaled._operands[1][0] is x
+        assert [o for _, o in scaled._operands] == [o for _, o in product._operands]
+        for k in (0, 64, 1000):
+            assert scale(q, from_below(Fraction(5, 7))).scaled(k) == (
+                mul(from_rat(q), from_below(Fraction(5, 7))).scaled(k))
+    assert scale(3, x)._operands[1][1] == 5
 
 
 def test_clamp_basics():
@@ -133,11 +145,26 @@ def test_clamp_rejects_empty_interval():
 
 
 def test_bound_values():
-    # a leaf's bound is |x.scaled(0)| + 2; below(10)'s answer at k = 0
-    # rounds its approximant at 1/2, 10 - 1/4, to 10
-    assert bound(from_rat(3)) == 5
+    # a bound is 2**e, e the magnitude exponent: for a leaf, the least e
+    # with |x.scaled(0)| + 2 <= 2**e; below(10)'s answer at k = 0 rounds
+    # its approximant at 1/2, 10 - 1/4, to 10
+    assert bound(from_rat(3)) == 8
     assert bound(from_rat(0)) == 2
-    assert bound(below(10)) == 12
+    assert bound(below(10)) == 16
+    # one rule for every kind of point: an exact point, an opaque limit
+    # point, a below() leaf, a nullary operation and an operation, each
+    # read on a fresh copy
+    kinds = {
+        "exact": lambda: from_rat(Fraction(-7, 3)),
+        "opaque": lambda: below(Fraction(-7, 3)),
+        "below": lambda: from_below(Fraction(-7, 3)),
+        "nullary": lambda: _operation(None, lambda k: -(7 << k) // 3),
+        "operation": lambda: add(from_below(Fraction(-7, 3)), below(5)),
+    }
+    for kind, make in kinds.items():
+        e = _magnitude(make())
+        assert bound(make()) == 2 ** e, kind
+    assert bound(kinds["operation"]()) == 16
 
 
 def test_bound_dominates_value():
@@ -235,7 +262,7 @@ def test_building_a_horner_chain_evaluates_no_operation():
     operations, stack = [], [p]
     while stack:
         point = stack.pop()
-        if point._operands:
+        if getattr(point, "_operands", None):
             operations.append(point)
             stack.extend(y for y, _ in point._operands)
     assert len(operations) == 128

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from cauchyreal import ApartnessWitness, ContinuityModulus, Done, LipschitzFn
+from cauchyreal import ApartnessWitness, Done, LipschitzFn
 
 from oracles import (Abs, Add, Div, Enclosure, FromBelow, Max, Min, Mul, Neg, RatLit, Sub,
                      _Binary, _Unary)
@@ -32,7 +32,6 @@ VALUES = {
     ApartnessWitness: (("positive", "gap"), lambda: (True, Fraction(1, 4))),
     Enclosure: (("lo", "hi"), lambda: (Fraction(1, 3), Fraction(1, 2))),
     LipschitzFn: (("fn", "constant"), lambda: (abs, Fraction(2))),
-    ContinuityModulus: (("modulus",), lambda: (abs,)),
 }
 
 CASES = pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
