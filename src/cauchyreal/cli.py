@@ -64,6 +64,9 @@ def _witness_fuel(witness_fuel, steps):
 def decimal_digits(prec_exponent):
     """Fractional digits needed to resolve 2**-prec_exponent: ceil(k*log10(2)).
 
+    Only bench/ and the tests read it; eval reads the count off the
+    Decimal of 2**k that it prints.
+
     Computed exactly as the digit count of 2**k (log10(2) is irrational, so
     the ceiling never lands on an integer for k >= 1): the least d with
     2**k < 10**d, searched by integer comparison from floor(k*log10(2)),
@@ -112,7 +115,7 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
 
 
 def _ratio(num, den):
-    """format_rat's text for num/den, from their Decimals."""
+    """format_rat's text for num/den, from their decimal texts or Decimals."""
     return str(num) if den == 1 else "%s/%s" % (num, den)
 
 
@@ -135,12 +138,17 @@ def _write_enclosure(out, mid, prec, fmt):
     bits are shifted out, at most e of them, and all e of a zero
     numerator, whose odd is then 1.  So 2**e is computed in Decimal once
     and divided down, the numerator of lo and the integer of lo.decimal are
-    converted, and those of hi are exact Decimal sums of the small
-    differences: 2 * odd * 2**(e - prec) and about 20.  The decimal lines'
-    integers are shifts, as digits <= prec <= e:
+    converted by format_int, and those of hi are exact Decimal sums of the
+    small differences: 2 * odd * 2**(e - prec) and about 20.  The decimal
+    lines' integers are shifts, as digits <= prec <= e:
 
         floor(x * 10**digits / (odd * 2**e))
-            = floor(floor(x * 5**digits / 2**(e - digits)) / odd).
+            = floor(floor(x * 5**digits / 2**(e - digits)) / odd),
+
+    where b * 5**digits is a * 5**digits plus (b - a) * 5**digits, whose
+    factor b - a is small, so only one big product is made.  digits is the
+    length of 2**prec, read off its Decimal.  Decimals are made from signed
+    text: unary minus would round them to the context's precision.
     """
     num, den = mid.numerator, mid.denominator
     s = _twos(den)
@@ -153,25 +161,29 @@ def _write_enclosure(out, mid, prec, fmt):
     def pow2(j):
         return _EXACT.divide_int(power, 1 << (e - j))
 
-    out.write("eps=%s\n" % _ratio(1, pow2(prec)))
+    eps = pow2(prec)
+    out.write("eps=%s\n" % _ratio(1, eps))
     if fmt in ("rational", "both"):
         # the endpoints' denominators are odd * 2**s_lo and odd * 2**s_hi:
         # a numerator sheds its trailing zeros, at most e, and all e if zero
         s_lo = e - _twos(a | 1 << e)
         s_hi = e - _twos(b | 1 << e)
-        num_lo = Decimal(a >> (e - s_lo))
+        text_lo = format_int(a >> (e - s_lo))
         num_hi = _EXACT.divide_int(
-            _EXACT.add(_EXACT.multiply(num_lo, 1 << (e - s_lo)), b - a), 1 << (e - s_hi))
-        out.write("lo=%s\n" % _ratio(num_lo, _EXACT.multiply(pow2(s_lo), odd)))
+            _EXACT.add(_EXACT.multiply(Decimal(text_lo), 1 << (e - s_lo)), b - a),
+            1 << (e - s_hi))
+        out.write("lo=%s\n" % _ratio(text_lo, _EXACT.multiply(pow2(s_lo), odd)))
         out.write("hi=%s\n" % _ratio(num_hi, _EXACT.multiply(pow2(s_hi), odd)))
     if fmt in ("decimal", "both"):
-        digits = decimal_digits(prec)
+        # 2**prec has decimal_digits(prec) digits, for prec >= 1
+        digits = eps.adjusted() + 1 if prec else 0
         five = 5 ** digits
-        n_lo = ((a * five) >> (e - digits)) // odd
-        n_hi = -(((-b * five) >> (e - digits)) // odd)
-        dec_lo = Decimal(n_lo)
-        dec_hi = _EXACT.add(dec_lo, n_hi - n_lo)
-        out.write("lo.decimal=%s\n" % _with_point(n_lo, str(dec_lo.copy_abs()), digits))
+        a_five = a * five
+        n_lo = (a_five >> (e - digits)) // odd
+        n_hi = -(((-a_five - (odd * five << (e - prec + 1))) >> (e - digits)) // odd)
+        text_lo = format_int(n_lo)
+        dec_hi = _EXACT.add(Decimal(text_lo), n_hi - n_lo)
+        out.write("lo.decimal=%s\n" % _with_point(n_lo, text_lo.lstrip("-"), digits))
         out.write("hi.decimal=%s\n" % _with_point(n_hi, str(dec_hi.copy_abs()), digits))
 
 

@@ -539,6 +539,9 @@ def eval_calls(draw):
 @example((format_expr(RatLit(Fraction(5, 2))), 1, "both"))
 @example((format_expr(RatLit(Fraction(3, 2 ** 70))), 64, "both"))
 @example((format_expr(RatLit(Fraction(1, 3 * 2 ** 70))), 64, "both"))
+# odd denominators at the finest precision, both signs
+@example((format_expr(RatLit(Fraction(1, 3))), 16000, "both"))
+@example((format_expr(RatLit(Fraction(-5, 7))), 16000, "both"))
 def test_eval_prints_what_the_reference_formatters_give(call):
     text, k, fmt = call
     box = evaluate_enclosure(text, k)

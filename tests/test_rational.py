@@ -1,13 +1,18 @@
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 from fractions import Fraction
 
 import pytest
 
-from cauchyreal import QPos, Rat, close_q, dyadic, format_rat
-from cauchyreal.rational import _coprime
+from pathlib import Path
+
+from cauchyreal import QPos, Rat, close_q, dyadic, format_rat, rational
+from cauchyreal.rational import _coprime, format_int, parse_int
 
 from oracles import add_pair, as_pair, div_pair, mul_pair, sub_pair
 
@@ -115,6 +120,65 @@ def test_format_rat_round_trips():
         assert Fraction(format_rat(q)) == q
     assert format_rat(Fraction(5)) == "5"
     assert format_rat(Fraction(-1, 3)) == "-1/3"
+
+
+def _conversions():
+    """Integers at the chunk edges of format_int and parse_int, a low chunk
+    of leading zeros (10**2000 + 7), and random ones up to 70,000 bits, of
+    both signs."""
+    rng = random.Random(29)
+    values = [0, 1, 10 ** 600 - 1, 10 ** 600, 10 ** 1200 - 1, 10 ** 1200 + 1,
+              10 ** 2000 + 7, 2 ** 16000 - 1]
+    values += [rng.getrandbits(rng.randint(1, 70_000)) for _ in range(30)]
+    return values + [-n for n in values[1:]]
+
+
+@pytest.fixture
+def no_int_limit():
+    """Lift the int-to-str digit limit for the test, where Python has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_format_int_is_str_and_parse_int_is_int(no_int_limit):
+    for n in _conversions():
+        assert format_int(n) == str(n)
+        assert parse_int(str(abs(n))) == abs(n)
+
+
+# Reads lines "hex decimal" and checks format_int and parse_int against them
+# under the interpreter's int-to-str digit limit; prints the lines checked.
+_CHECK_UNDER_LIMIT = """
+import sys
+from cauchyreal.rational import format_int, parse_int
+count = 0
+for line in sys.stdin:
+    hex_text, text = line.split()
+    n = int(hex_text, 16)
+    if format_int(n) != text or parse_int(text.lstrip("-")) != abs(n):
+        sys.exit("wrong at " + hex_text)
+    count += 1
+print(count)
+"""
+
+
+def test_format_int_and_parse_int_under_the_least_digit_limit(no_int_limit):
+    # 640 is the least limit Python accepts; the child runs with it, and
+    # reads and writes numbers of up to 21,000 digits
+    values = _conversions()
+    src = str(Path(rational.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-c", _CHECK_UNDER_LIMIT],
+        input="".join("%x %d\n" % (n, n) for n in values), capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "%d\n" % len(values), "")
 
 
 def test_arithmetic_against_integer_oracle():
