@@ -67,18 +67,6 @@ class _Now(Partial):
         return self._outcome
 
 
-class _NowBy(_Now):
-    """Done(make()) at every fuel, make called at each run."""
-
-    __slots__ = ("_make",)
-
-    def __init__(self, make):
-        self._make = make
-
-    def run(self, fuel):
-        return Done(self._make())
-
-
 class _Never(Partial):
     __slots__ = ()
 
@@ -102,16 +90,6 @@ class _FromStep(Partial):
 def now(value):
     """The computation that is already Done(value) at fuel 0."""
     return _Now(value)
-
-
-def now_by(make):
-    """The computation Done(make()) at every fuel, make called when it runs.
-
-    A firing stage of monotone_sup, which runs only the least firing stage
-    it polls, and that once: the value of a stage it passes over is never
-    made.
-    """
-    return _NowBy(make)
 
 
 def never():
@@ -164,8 +142,8 @@ def join_sier(a, b):
 
 
 class _MonotoneSup(Partial):
-    """The least firing stage of monotone stages: each stage is now(value),
-    now_by(make) or never(), and if stage m fires, so does stage m + 1.
+    """The least firing stage of monotone stages: each stage is now(value)
+    or never(), and if stage m fires, so does stage m + 1.
 
     Stage n then fires iff some stage m <= n does, so the prefix scan of
     stages 0..n is answered by stage n alone.  A run at fuel n polls the
@@ -175,8 +153,7 @@ class _MonotoneSup(Partial):
     bisection between the last pending stage and the first firing one ends
     at the least firing stage.  A single run thus answers the full prefix
     scan's outcome, the value of its least firing stage, in O(log n) polls,
-    none of them twice.  Only that stage is run, once, so a stage made by
-    now_by(make) makes its value only if it is the least.
+    none of them twice.
 
     _fired_at is that stage, and a run at lower fuel stays pending, as the
     run that fired found; _pending is the greatest stage up to which all are
@@ -227,9 +204,9 @@ class _MonotoneSup(Partial):
 
 
 def monotone_sup(f):
-    """The least firing stage of f, for monotone stages that are now(value),
-    now_by(make) or never() (see _MonotoneSup): Done(value) of the least
-    stage m <= n that fires, polling O(log n) stages at fuel n."""
+    """The least firing stage of f, for monotone stages that are now(value)
+    or never() (see _MonotoneSup): Done(value) of the least stage m <= n
+    that fires, polling O(log n) stages at fuel n."""
     return _MonotoneSup(f)
 
 

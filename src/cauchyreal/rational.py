@@ -8,6 +8,7 @@ rational for precisions, gaps and Lipschitz constants, the canonical dyadic
 precisions, and the closeness relation on rationals.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -131,9 +132,8 @@ def round_div(n, d):
     return (2 * n + d) // (2 * d)
 
 
-# The longest run of digits that format_int and parse_int convert with str()
-# and int().  Python accepts no int-to-str digit limit below 640, so no
-# limit refuses a chunk.
+# The longest run of digits that format_int converts with str().  Python
+# accepts no int-to-str digit limit below 640, so no limit refuses a chunk.
 _CHUNK = 600
 # The most bits of an integer below 10**_CHUNK: 600 * log2(10) is 1993.2.
 _CHUNK_BITS = 1993
@@ -179,21 +179,12 @@ def _decimal(n, i, pad):
 
 
 def parse_int(digits):
-    """The integer a run of ASCII digits denotes, of any length, under any
-    str-to-int digit limit.
-
-    Past _CHUNK digits, the run is cut where its low part is _CHUNK * 2**i
-    digits long, for the greatest such cut, and the parts are joined as
-    high * 10**(_CHUNK * 2**i) + low; int() reads the chunks of at most
-    _CHUNK digits.  int() and Decimal read a long run in quadratic time.
-    """
-    if len(digits) <= _CHUNK:
+    """The integer a run of ASCII digits denotes, of any length: Decimal
+    reads what int() refuses past the str-to-int digit limit."""
+    try:
         return int(digits)
-    i = 0
-    while _CHUNK << (i + 1) < len(digits):
-        i += 1
-    m = _CHUNK << i
-    return parse_int(digits[:-m]) * _power(i) + parse_int(digits[-m:])
+    except ValueError:
+        return int(Decimal(digits))
 
 
 def format_rat(q):

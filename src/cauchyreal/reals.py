@@ -54,7 +54,7 @@ requested precision, four times for the last one):
 from fractions import Fraction
 
 from .completion import CompletionPoint, _magnitude, _operation, eta
-from .partiality import _NEVER, PENDING, TOP, map_partial, monotone_sup, never, now_by
+from .partiality import PENDING, TOP, map_partial, monotone_sup, never, now
 from .rational import QPos, Value, _coprime, ceil_log2, dyadic, round_div
 
 CReal = CompletionPoint
@@ -370,8 +370,7 @@ def _apart(x):
     Stage k reads x's integer answer m = x.scaled(k) and accepts when
     |m| > 2: as |x - m * 2**-k| < 2**-k, that certifies |x| > 2 * 2**-k, so
     the gap 2**-k <= |x|, with the sign of m, and the stage answers that
-    certificate, made only for the least passing stage, the one the scan
-    runs.  A zero real passes no stage; a real apart from zero passes
+    certificate.  A zero real passes no stage; a real apart from zero passes
     every stage fine enough to dominate the approximation error.
 
     The stages are monotone: stage k + 1's answer m' has |m'| > 2|m| - 3,
@@ -382,8 +381,8 @@ def _apart(x):
     def stage(k):
         m = x.scaled(k)
         if m > 2 or m < -2:
-            return now_by(lambda: ApartnessWitness(m > 0, dyadic(k)))
-        return _NEVER
+            return now(ApartnessWitness(m > 0, dyadic(k)))
+        return never()
 
     return monotone_sup(stage)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cauchyreal import (Done, PENDING, STAR, TOP, countable_sup, fires,
                         from_rat, interleave, is_positive, join_sier,
                         map_partial, never, now, sup_seq)
-from cauchyreal.partiality import monotone_sup, now_by
+from cauchyreal.partiality import monotone_sup
 
 from oracles import full_prefix_scan
 
@@ -228,14 +228,6 @@ def test_monotone_sup_answers_the_least_firing_stage():
             assert s.run(n) == (Done(least) if n >= least else PENDING)
             assert len(polls) <= 2 * n.bit_length() + 1
             assert s.run(n + 1) == (Done(least) if n + 1 >= least else PENDING)
-
-
-def test_monotone_sup_makes_only_the_least_firing_stages_value():
-    # the scan polls several firing stages while it bisects, and runs one
-    made = []
-    s = monotone_sup(lambda k: now_by(lambda: made.append(k) or k) if k >= 37 else never())
-    assert s.run(200) == Done(37) and s.run(300) == Done(37)
-    assert made == [37]
 
 
 def test_monotone_sup_polls_each_stage_at_most_once_per_run():

@@ -123,9 +123,9 @@ def test_format_rat_round_trips():
 
 
 def _conversions():
-    """Integers at the chunk edges of format_int and parse_int, a low chunk
-    of leading zeros (10**2000 + 7), and random ones up to 70,000 bits, of
-    both signs."""
+    """Integers at the chunk edges of format_int, a low chunk of leading
+    zeros (10**2000 + 7), and random ones up to 70,000 bits, of both
+    signs."""
     rng = random.Random(29)
     values = [0, 1, 10 ** 600 - 1, 10 ** 600, 10 ** 1200 - 1, 10 ** 1200 + 1,
               10 ** 2000 + 7, 2 ** 16000 - 1]

@@ -15,7 +15,6 @@ from cauchyreal import (ONE, PENDING, STAR, TOP, ZERO, ApartnessWitness,
                         lt_rat_semidecide, meet, mul, neg, never, parse,
                         recip_witnessed, scale, signed_sum, sub)
 
-from cauchyreal import reals
 from cauchyreal.completion import _magnitude, _operation
 from cauchyreal.premetric import RATIONALS
 from cauchyreal.reals import _Below
@@ -495,33 +494,6 @@ def test_find_apart_witness_examples():
     assert w == ApartnessWitness(True, Fraction(1, 4))
     assert find_apart_witness(from_rat(0), 100) is None
     assert find_apart_witness(below(0), 100) is None
-
-
-def _count_witnesses(monkeypatch):
-    made = []
-
-    def counting(positive, gap):
-        made.append(gap)
-        return ApartnessWitness(positive, gap)
-
-    monkeypatch.setattr(reals, "ApartnessWitness", counting)
-    return made
-
-
-# bisection polls several firing stages; only the least one's witness is
-# made: at a gap of 2**-40, and in the sign scan of 2**-64 from zero
-
-
-def test_a_witness_search_makes_one_witness(monkeypatch):
-    made = _count_witnesses(monkeypatch)
-    witness = find_apart_witness(below(Fraction(1, 2 ** 38)), 64)
-    assert made == [witness.gap] == [dyadic(40)]
-
-
-def test_a_sign_scan_makes_one_witness(monkeypatch):
-    made = _count_witnesses(monkeypatch)
-    assert is_positive(below(Fraction(-1, 2 ** 64))).run(256) == Done(False)
-    assert len(made) == 1
 
 
 def test_find_apart_witness_sound(corpus):
