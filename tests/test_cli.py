@@ -16,8 +16,9 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from cauchyreal import cli, dyadic, expressions, reals
+from cauchyreal import cli, dyadic, expressions, format_rat, reals
 from cauchyreal.cli import decimal_digits, format_decimal, main
+from cauchyreal.rational import format_int
 
 from oracles import (ARGPARSE_PARSER, ArgparseUsageError, Enclosure, argparse_read, eval_exact,
                      evaluate_enclosure, parse)
@@ -691,6 +692,77 @@ def test_main_from_threads_prints_what_sequential_calls_print():
     assert not any(t.is_alive() for t in threads)
     for seed in range(4):
         assert results[seed] == (expected[seed:] + expected[:seed]) * 3
+
+
+def _reference_eval(text, prec, fmt="both"):
+    """eval's stdout for text at --prec prec, from the reference formatters
+    on evaluate_enclosure."""
+    box = evaluate_enclosure(text, prec)
+    digits = decimal_digits(prec)
+    lines = ["eps=" + format_rat(dyadic(prec))]
+    if fmt != "decimal":
+        lines += ["lo=" + format_rat(box.lo), "hi=" + format_rat(box.hi)]
+    if fmt != "rational":
+        lines += ["lo.decimal=" + format_decimal(box.lo, digits, False),
+                  "hi.decimal=" + format_decimal(box.hi, digits, True)]
+    return "".join(line + "\n" for line in lines)
+
+
+def _eval_bytes(text, prec, fmt="both"):
+    out = StringIO()
+    assert cli.cmd_eval(text, prec, None, fmt, out) == 0
+    return out.getvalue()
+
+
+# At --prec 64 this midpoint is finer than eps: the printer's exponent is
+# its own 20000, not the precision's, and 2**20000 is then made for it.
+_FINER_THAN_EPS = "1/" + format_int(3 * 2 ** 20000)
+_REPEATED_PRECISIONS = [("1/(3 + below(0))", prec, "both") for prec in (16000, 64, 16000, 4000, 0)]
+_REPEATED_PRECISIONS += [("-5/7", 16000, "decimal"), ("1/3", 16000, "rational"),
+                         (_FINER_THAN_EPS, 64, "both"), (_FINER_THAN_EPS, 20000, "both"),
+                         (_FINER_THAN_EPS, 64, "decimal"), ("1/(3 + below(0))", 16000, "both")]
+
+
+def test_eval_in_one_process_prints_each_precision_as_the_reference_does():
+    # the constants made for one call's exponent are read by the next that
+    # shares it, as the precision or as a midpoint's finer exponent
+    cli._power_of_two.cache_clear()
+    for text, prec, fmt in _REPEATED_PRECISIONS:
+        assert _eval_bytes(text, prec, fmt) == _reference_eval(text, prec, fmt)
+
+
+def test_the_printers_constants_are_bounded():
+    maxsize = cli._power_of_two.cache_info().maxsize
+    for prec in range(maxsize + 3):
+        assert _eval_bytes("-1/3", prec) == _reference_eval("-1/3", prec)
+        assert cli._power_of_two.cache_info().currsize <= maxsize
+    assert cli._power_of_two.cache_info().currsize == maxsize
+
+
+def test_threads_printing_mixed_precisions_print_the_serial_bytes():
+    expected = [_eval_bytes(*case) for case in _REPEATED_PRECISIONS]
+    cli._power_of_two.cache_clear()
+    barrier = threading.Barrier(8, timeout=30)
+    results = {}
+
+    def work(seed):
+        barrier.wait()
+        order = _REPEATED_PRECISIONS[seed:] + _REPEATED_PRECISIONS[:seed]
+        results[seed] = [_eval_bytes(*case) for case in order * 2]
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for seed in range(8):
+        assert results[seed] == (expected[seed:] + expected[:seed]) * 2
 
 
 def test_format_decimal_rounds_outward():

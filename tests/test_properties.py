@@ -542,6 +542,13 @@ def eval_calls(draw):
 # odd denominators at the finest precision, both signs
 @example((format_expr(RatLit(Fraction(1, 3))), 16000, "both"))
 @example((format_expr(RatLit(Fraction(-5, 7))), 16000, "both"))
+# the decimal lines alone, whose product is taken from the midpoint's
+# numerator: short ones, a long dyadic one, and an odd part with s > prec
+@example((format_expr(RatLit(Fraction(1, 3))), 16000, "decimal"))
+@example((format_expr(RatLit(Fraction(-5, 7))), 16000, "decimal"))
+@example((format_expr(RatLit(Fraction(-3 ** 10000, 2 ** 12000))), 16000, "decimal"))
+@example((format_expr(RatLit(Fraction(5, 3 * 2 ** 16070))), 16000, "decimal"))
+@example((format_expr(RatLit(Fraction(5, 3 * 2 ** 16070))), 16000, "both"))
 def test_eval_prints_what_the_reference_formatters_give(call):
     text, k, fmt = call
     box = evaluate_enclosure(text, k)
