@@ -207,25 +207,30 @@ class _Operation(CompletionPoint):
         return m
 
 
+# The fuel of CompletionSpace.close: its scan polls stages 0 to 96.
+_CLOSE_FUEL = 96
+
+
 class CompletionSpace(PremetricCarrier):
     """Carrier for completed points, with a fuel-bounded boolean closeness.
 
-    close() runs the closeness semi-decision for a fixed fuel, so True
-    certifies closeness while False only means it was not confirmed within
-    the budget.  That one-sided answer is the best a decidable interface can
-    offer over a completion; harnesses that need the decidable shape (nested
-    completions, the premetric checkers) accept the asymmetry.
+    close() runs the closeness semi-decision at the fixed fuel _CLOSE_FUEL,
+    so True certifies closeness while False only means it was not confirmed
+    within the budget.  That one-sided answer is the best a decidable
+    interface can offer over a completion.  close_semidecide on a nested
+    completion reads it as the base space's closeness and accepts the
+    asymmetry: a pair close_semidecide accepts is close, and one it does
+    not accept may still be.
     """
 
-    def __init__(self, base, fuel=96):
+    def __init__(self, base):
         self.base = base
-        self.fuel = fuel
 
     def close(self, eps, x, y):
-        return fires(close_semidecide(eps, x, y), self.fuel)
+        return fires(close_semidecide(eps, x, y), _CLOSE_FUEL)
 
     def __repr__(self):
-        return "CompletionSpace(%r, fuel=%s)" % (self.base, self.fuel)
+        return "CompletionSpace(%r)" % (self.base,)
 
 
 def carrier(value):
@@ -396,12 +401,3 @@ def monad_join(x):
     """
     return extend_lipschitz(LipschitzFn(lambda point: point, _ONE))(x)
 
-
-def lim_pointwise(s):
-    """Limit of a Cauchy family of functions into a completion, pointwise.
-
-    s maps a precision to a function; the result maps a to the limit of the
-    family's values at a.  If every member is Lipschitz with a common
-    constant, so is the result.
-    """
-    return lambda a: limit(lambda eps: s(eps)(a))

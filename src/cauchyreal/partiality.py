@@ -106,16 +106,6 @@ def fires(s, fuel):
     return s.run(fuel) is not PENDING
 
 
-def sup_seq(s):
-    """Supremum of an increasing sequence of partials, evaluated diagonally.
-
-    s maps n to a Partial, increasing in the sense that later members are
-    Done at least as often; run(n) is s(n).run(n), which is monotone exactly
-    because of that assumption.
-    """
-    return _FromStep(lambda n: s(n).run(n))
-
-
 def map_partial(f, p):
     """Apply f to the result of p, preserving the firing fuel."""
     if isinstance(p, _Never):

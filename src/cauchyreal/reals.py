@@ -223,15 +223,6 @@ def scale(q, x):
     return mul(from_rat(q), x)
 
 
-def clamp(x, lo, hi):
-    """x clipped into [lo, hi]: join(lo, meet(x, hi)).  Needs lo <= hi."""
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    if lo > hi:
-        raise ValueError("empty clamp interval [%s, %s]" % (lo, hi))
-    return join(from_rat(lo), meet(x, from_rat(hi)))
-
-
 def bound(x):
     """A rational b >= |x|: 2**e for x's magnitude exponent e
     (completion._magnitude), a power of two, and strictly greater than |x|

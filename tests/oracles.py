@@ -17,6 +17,11 @@ eps-approximant m and makes [m - eps, m + eps] with Fraction arithmetic,
 which eval's printer, working on m's integers, must match.  The
 command-line reference is argparse itself, given the table of forms that
 the package's own reader reads.
+One group is not a reference: helpers that only the tests read, kept out
+of the package and built on its own operations.  They are the sampled
+Cauchy, limit and Lipschitz checkers with their sampler dyadic_pairs, a
+LipschitzFn's modulus, the diagonal supremum sup_seq, lim_pointwise and
+clamp.
 """
 
 import argparse
@@ -28,12 +33,13 @@ from fractions import Fraction
 from string import ascii_letters, digits
 
 from cauchyreal import cli
+from cauchyreal.completion import limit
 from cauchyreal.expressions import ParseError, _divide, _literal, build_real
 from cauchyreal.partiality import (PENDING, STAR, TOP, Done, Partial, _Never, _Now,
                                    never)
-from cauchyreal.rational import Value, dyadic, format_rat
-from cauchyreal.reals import (ApartnessWitness, _Below, absolute, add, join, meet, mul, neg,
-                              recip_witnessed, sub)
+from cauchyreal.rational import QPos, Value, dyadic, format_rat
+from cauchyreal.reals import (ApartnessWitness, _Below, absolute, add, from_rat, join, meet,
+                              mul, neg, recip_witnessed, sub)
 
 
 class RatLit(Value):
@@ -357,6 +363,117 @@ def linear_witness(x, fuel):
         if abs(a) > 2 * d:
             return ApartnessWitness(a > 0, d)
     return None
+
+
+# Helpers that only the tests read, not references (see the module docstring).
+def modulus(f):
+    """The continuity modulus of a LipschitzFn f: the function
+    eps -> eps / f.constant, which maps a target output tolerance to a
+    sufficient input tolerance."""
+    constant = QPos(f.constant)
+    return lambda eps: QPos(Fraction(eps) / constant)
+
+
+def _values_at(x, precisions):
+    # Evaluate each distinct precision once, coarsest first, so memoizing
+    # approximation procedures are probed with genuinely fresh computations
+    # instead of replays of their finest cached answer.
+    values = {}
+    for eps in sorted(set(precisions), reverse=True):
+        values[eps] = x(eps)
+    return values
+
+
+def check_cauchy(x, space, samples):
+    """Test the Cauchy condition of an approximation procedure on sampled pairs.
+
+    x maps a positive rational precision to a carrier element; samples is a
+    sequence of (eps, delta) pairs.  Returns True iff every sampled pair
+    satisfies close(eps + delta, x(eps), x(delta)).
+    """
+    samples = list(samples)
+    if not samples:
+        raise ValueError("need at least one sample pair")
+    values = _values_at(x, [e for pair in samples for e in pair])
+    return all(space.close(e + d, values[e], values[d]) for e, d in samples)
+
+
+def check_limit(candidate, x, space, samples):
+    """Test whether candidate is a limit of x on sampled (eps, delta) pairs.
+
+    The limit condition puts x(eps) within eps + delta of the candidate for
+    every positive delta; each sampled pair checks one instance.
+    """
+    samples = list(samples)
+    if not samples:
+        raise ValueError("need at least one sample pair")
+    values = _values_at(x, [e for e, _ in samples])
+    return all(space.close(e + d, values[e], candidate) for e, d in samples)
+
+
+def check_lipschitz(f, constant, space_a, space_b, samples):
+    """Test the Lipschitz condition of f on sampled close pairs.
+
+    samples is a sequence of (eps, x, y) with x and y eps-close in space_a;
+    that precondition is verified and a violating sample is an error in the
+    sample set, not a counterexample.  Returns True iff every image pair is
+    constant * eps close in space_b.
+    """
+    ok = True
+    for eps, x, y in samples:
+        if not space_a.close(eps, x, y):
+            raise ValueError(
+                "sample violates the closeness precondition: %r and %r at %s" % (x, y, eps))
+        if not space_b.close(constant * eps, f(x), f(y)):
+            ok = False
+    return ok
+
+
+def dyadic_pairs(count, rng, max_exp=32):
+    """count random pairs of dyadic precisions 2**-k with k in [0, max_exp]."""
+    return [(dyadic(rng.randint(0, max_exp)), dyadic(rng.randint(0, max_exp)))
+            for _ in range(count)]
+
+
+class _DiagonalSup(Partial):
+    """sup_seq(s): run(n) is s(n).run(n)."""
+
+    __slots__ = ("_s",)
+
+    def __init__(self, s):
+        self._s = s
+
+    def run(self, fuel):
+        return self._s(fuel).run(fuel)
+
+
+def sup_seq(s):
+    """Supremum of an increasing sequence of partials, evaluated diagonally.
+
+    s maps n to a Partial, increasing in the sense that later members are
+    Done at least as often; run(n) is s(n).run(n), which is monotone exactly
+    because of that assumption.
+    """
+    return _DiagonalSup(s)
+
+
+def lim_pointwise(s):
+    """Limit of a Cauchy family of functions into a completion, pointwise.
+
+    s maps a precision to a function; the result maps a to the limit of the
+    family's values at a.  If every member is Lipschitz with a common
+    constant, so is the result.
+    """
+    return lambda a: limit(lambda eps: s(eps)(a))
+
+
+def clamp(x, lo, hi):
+    """x clipped into [lo, hi]: join(lo, meet(x, hi)).  Needs lo <= hi."""
+    lo = Fraction(lo)
+    hi = Fraction(hi)
+    if lo > hi:
+        raise ValueError("empty clamp interval [%s, %s]" % (lo, hi))
+    return join(from_rat(lo), meet(x, from_rat(hi)))
 
 
 def _digits_value(run):

@@ -15,14 +15,13 @@ from io import StringIO
 
 from cauchyreal import (ApartnessWitness, LipschitzFn, PENDING, QPos,
                         RATIONALS, TOP, ZERO, ONE, absolute, add, bound,
-                        build_real, check_cauchy, countable_sup, dyadic,
-                        dyadic_pairs, eta,
+                        build_real, countable_sup, dyadic, eta,
                         extend_lipschitz, find_apart_witness, fires, from_rat,
                         interleave, is_positive, join, join_sier, limit,
                         lt_rat_semidecide, main, meet, monad_join, monad_map,
-                        mul, neg, never, parse, recip_witnessed, sub, sup_seq)
+                        mul, neg, never, parse, recip_witnessed, sub)
 
-from oracles import ceil_log2, evaluate_enclosure
+from oracles import ceil_log2, check_cauchy, dyadic_pairs, evaluate_enclosure, sup_seq
 
 SEED = 20260825
 EPS_SWEEP = (dyadic(8), dyadic(32), dyadic(128))

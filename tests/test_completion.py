@@ -9,14 +9,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cauchyreal import (RATIONALS, CompletionPoint, CompletionSpace, LipschitzFn, QPos,
-                        check_cauchy, close_semidecide, dyadic, dyadic_pairs,
-                        eta, extend_lipschitz, extend_lipschitz2, fires,
-                        lim_pointwise, limit, monad_join, monad_map)
+                        close_semidecide, dyadic, eta, extend_lipschitz,
+                        extend_lipschitz2, fires, limit, monad_join, monad_map)
 
 from cauchyreal.completion import _magnitude, _Operation, _operation
 from cauchyreal.reals import _Below, absolute, add, bound, from_below, mul, neg, sub
 
-from oracles import first_k_with_margin
+from oracles import check_cauchy, dyadic_pairs, first_k_with_margin, lim_pointwise
 
 
 def below(q):
@@ -313,7 +312,7 @@ def test_nested_completion_closeness():
 
 
 def test_completion_space_close_is_one_sided():
-    space = CompletionSpace(RATIONALS, fuel=64)
+    space = CompletionSpace(RATIONALS)
     assert space.close(Fraction(1, 2), eta(Fraction(0)), eta(Fraction(1, 4)))
     assert not space.close(Fraction(1, 4), eta(Fraction(0)), eta(Fraction(1, 4)))
 

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from cauchyreal import (Done, PENDING, STAR, TOP, countable_sup, fires,
                         from_rat, interleave, is_positive, join_sier,
-                        map_partial, never, now, sup_seq)
+                        map_partial, never, now)
 from cauchyreal.partiality import monotone_sup
 
-from oracles import full_prefix_scan
+from oracles import full_prefix_scan, sup_seq
 
 
 def delayed(k, value=STAR):

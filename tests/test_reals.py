@@ -9,7 +9,7 @@ import pytest
 
 from cauchyreal import (ONE, PENDING, STAR, TOP, ZERO, ApartnessWitness,
                         CompletionPoint, Done, absolute, add, bound,
-                        build_real, clamp, compare_partial, dyadic, eta,
+                        build_real, compare_partial, dyadic, eta,
                         find_apart_witness, fires, from_below,
                         from_rat, is_positive, join, join_sier, limit,
                         lt_rat_semidecide, meet, mul, neg, never, parse,
@@ -19,7 +19,7 @@ from cauchyreal.completion import _magnitude, _operation
 from cauchyreal.premetric import RATIONALS
 from cauchyreal.reals import _Below
 
-from oracles import (first_k_with_margin, full_prefix_scan, full_scan_lt,
+from oracles import (clamp, first_k_with_margin, full_prefix_scan, full_scan_lt,
                      linear_witness)
 
 

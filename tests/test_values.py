@@ -1,7 +1,8 @@
 """The contract of the package's immutable value classes, and of the
 oracles' AST classes and Enclosure, built on the same base: construction
 by position and keyword, equality within a class only, hash and repr as a
-tuple's of the fields, immutability, and copy and pickle round trips."""
+tuple's of the fields, immutability, and copy and pickle round trips.  And
+the package's public names, pinned."""
 
 import copy
 import pickle
@@ -9,6 +10,8 @@ import pickle
 from fractions import Fraction
 
 import pytest
+
+import cauchyreal
 
 from cauchyreal import ApartnessWitness, Done, LipschitzFn
 
@@ -117,3 +120,26 @@ def test_values_copy_and_pickle(value):
     for other in copies:
         assert type(other) is type(value) and other == value
         assert hash(other) == hash(value) and repr(other) == repr(value)
+
+
+# cauchyreal.__all__, sorted: a change to the public API edits this list.
+PUBLIC_API = [
+    "ApartnessWitness", "CReal", "CompletionPoint", "CompletionSpace", "Done",
+    "LipschitzFn", "ONE", "PENDING", "ParseError", "Partial", "PremetricCarrier",
+    "QPos", "RATIONALS", "Rat", "RationalSpace", "STAR", "TOP", "WitnessSearchError",
+    "ZERO", "absolute", "add", "bound", "build_real", "close_q", "close_semidecide",
+    "compare_partial", "countable_sup", "dyadic", "eta", "extend_lipschitz",
+    "extend_lipschitz2", "find_apart_witness", "fires", "format_rat", "from_below",
+    "from_rat", "interleave", "is_positive", "join", "join_sier", "limit",
+    "lt_rat_semidecide", "main", "map_partial", "meet", "monad_join", "monad_map",
+    "mul", "neg", "never", "now", "parse", "recip_witnessed", "scale", "signed_sum",
+    "sub",
+]
+
+
+def test_the_public_api_is_pinned():
+    names = cauchyreal.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(cauchyreal, name), name
+    assert sorted(names) == PUBLIC_API
