@@ -131,27 +131,34 @@ def join_sier(a, b):
     return _FromStep(step)
 
 
+# The least coarse stage after 0 (see _MonotoneSup).
+_COARSE_FLOOR = 64
+
+
 class _MonotoneSup(Partial):
     """The least firing stage of monotone stages: each stage is now(value)
     or never(), and if stage m fires, so does stage m + 1.
 
     Stage n then fires iff some stage m <= n does, so the prefix scan of
     stages 0..n is answered by stage n alone.  A run at fuel n polls the
-    coarse stages 0, 1, 2, 4, 8, ... below n, which let an easy verdict stop
-    at low precision, and then n.  A pending stage rules out every stage
-    below it and a firing one every stage above it, so once a stage fires,
-    bisection between the last pending stage and the first firing one ends
-    at the least firing stage.  A single run thus answers the full prefix
-    scan's outcome, the value of its least firing stage, in O(log n) polls,
-    none of them twice.
+    coarse stages 0, 64, 128, 256, ... below n, and then n: stage 0 lets an
+    easy verdict stop at once, and a poll at any stage up to 64 costs about
+    what one at stage 0 does, so the powers of two start at _COARSE_FLOOR.
+    A pending stage rules out every stage below it and a firing one every
+    stage above it, so once a stage fires, bisection between the last
+    pending stage and the first firing one ends at the least firing stage m,
+    having polled no stage past max(2m, 64).  A single run thus answers the
+    full prefix scan's outcome, the value of its least firing stage, in
+    O(log n) polls, none of them twice.
 
-    _fired_at is that stage, and a run at lower fuel stays pending, as the
-    run that fired found; _pending is the greatest stage up to which all are
-    known pending, which a run pending at fuel n raises to n.  A run starts
-    at the first coarse stage above it, so a loop of growing fuel polls one
-    new stage per run, at O(1) cost.  Stages may read state that other work
-    refines (a point's memo), so repeated runs can differ from the full
-    scan's; they stay sound and monotone in fuel.  Each scan has its own
+    _fired_at is that stage m, which a caller may read once a run fired (the
+    gap of reals.find_apart_witness is 2**-m), and a run at lower fuel stays
+    pending, as the run that fired found; _pending is the greatest stage up
+    to which all are known pending, which a run pending at fuel n raises to
+    n.  A run starts at the first coarse stage above it, so a loop of growing
+    fuel polls one new stage per run, at O(1) cost.  Stages may read state
+    that other work refines (a point's memo), so repeated runs can differ
+    from the full scan's; they stay sound and monotone in fuel.  Each scan has its own
     lock, held while its stages are polled: a close_semidecide stage can run
     a nested scan through CompletionSpace.close.
 
@@ -175,7 +182,7 @@ class _MonotoneSup(Partial):
                 return self._outcome if fuel >= self._fired_at else PENDING
             lo, hi = self._pending + 1, None   # no stage below lo fires
             # the first coarse stage not known to be pending
-            t = min(1 << (lo - 1).bit_length(), fuel) if lo else 0
+            t = min(max(1 << (lo - 1).bit_length(), _COARSE_FLOOR), fuel) if lo else 0
             while t <= fuel and (hi is None or lo < hi):
                 if t >= lo:
                     stage = self._f(t)
@@ -185,7 +192,10 @@ class _MonotoneSup(Partial):
                         lo = t + 1
                 # double through the coarse stages, then the last; once a
                 # stage fires, bisect
-                t = max(t + 1, min(2 * t, fuel)) if hi is None else (lo + hi) // 2
+                if hi is None:
+                    t = max(t + 1, min(max(2 * t, _COARSE_FLOOR), fuel))
+                else:
+                    t = (lo + hi) // 2
             if hi is None:
                 self._pending = max(self._pending, fuel)
                 return PENDING
@@ -196,7 +206,9 @@ class _MonotoneSup(Partial):
 def monotone_sup(f):
     """The least firing stage of f, for monotone stages that are now(value)
     or never() (see _MonotoneSup): Done(value) of the least stage m <= n
-    that fires, polling O(log n) stages at fuel n."""
+    that fires, polling O(log n) stages at fuel n, from 0 and then the
+    powers of two from 64.  A stage that answers a shared now(value) makes
+    the run allocate no outcome."""
     return _MonotoneSup(f)
 
 

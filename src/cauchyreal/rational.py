@@ -88,8 +88,9 @@ def close_q(eps, q, r):
 def dyadic(k):
     """The canonical precision 2**-k, for k >= 0.  Cached: the precisions
     asked for repeat from op to op, such as the CLI's --prec and the gap of
-    a firing apartness stage.  Polled stages read scaled(k) and do not call
-    it, so the CLI makes about 1 to 3 calls per op on average."""
+    an apartness witness, which find_apart_witness makes once per search.
+    Polled stages read scaled(k) and do not call it, so the CLI makes about
+    1 to 3 calls per op on average."""
     if k < 0:
         raise ValueError("dyadic exponent must be >= 0, got %s" % k)
     return QPos(1, 2 ** k)

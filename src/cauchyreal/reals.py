@@ -54,7 +54,7 @@ requested precision, four times for the last one):
 from fractions import Fraction
 
 from .completion import CompletionPoint, _magnitude, _operation, eta
-from .partiality import PENDING, TOP, map_partial, monotone_sup, never, now
+from .partiality import PENDING, TOP, monotone_sup, never, now
 from .rational import QPos, Value, _coprime, ceil_log2, dyadic, round_div
 
 CReal = CompletionPoint
@@ -355,36 +355,34 @@ def lt_rat_semidecide(x, q):
     return monotone_sup(stage)
 
 
-def _apart(x):
-    """Semi-decide that x is apart from zero; the value is the witness.
-
-    Stage k reads x's integer answer m = x.scaled(k) and accepts when
-    |m| > 2: as |x - m * 2**-k| < 2**-k, that certifies |x| > 2 * 2**-k, so
-    the gap 2**-k <= |x|, with the sign of m, and the stage answers that
-    certificate.  A zero real passes no stage; a real apart from zero passes
-    every stage fine enough to dominate the approximation error.
-
-    The stages are monotone: stage k + 1's answer m' has |m'| > 2|m| - 3,
-    with the same sign, so when stage k passes, so does stage k + 1, with
-    the same sign.  monotone_sup therefore answers the least passing stage,
-    whose gap is the widest, in O(log n) polls at fuel n.
-    """
-    def stage(k):
-        m = x.scaled(k)
-        if m > 2 or m < -2:
-            return now(ApartnessWitness(m > 0, dyadic(k)))
-        return never()
-
-    return monotone_sup(stage)
+# A sign verdict's two outcomes, shared: a poll that fires allocates none.
+_SIGNS = (now(False), now(True))
 
 
 def is_positive(x):
     """Semi-decide the sign: Done(True) iff 0 < x, Done(False) iff x < 0.
 
-    The sign of x's apartness witness: one scan, whose stages certify
-    either side, so a zero real stays pending at every fuel.
+    Stage k reads x's integer answer m = x.scaled(k) and fires when
+    |m| > 2, answering the sign of m: as |x - m * 2**-k| < 2**-k, that
+    certifies |x| > 2 * 2**-k, so the gap 2**-k <= |x|, with that sign.  A
+    zero real fires no stage; a real apart from zero fires every stage fine
+    enough to dominate the approximation error.  Each stage certifies either
+    side, so one scan gives the sign, and a zero real stays pending at every
+    fuel.
+
+    The stages are monotone: stage k + 1's answer m' has |m'| > 2|m| - 3,
+    with the same sign, so when stage k fires, so does stage k + 1, with
+    the same sign.  monotone_sup therefore answers the least firing stage
+    in O(log n) polls at fuel n, and each fired poll returns one of two
+    shared outcomes, so a poll allocates nothing.
     """
-    return map_partial(lambda witness: witness.positive, _apart(x))
+    def stage(k):
+        m = x.scaled(k)
+        if m > 2 or m < -2:
+            return _SIGNS[m > 0]
+        return never()
+
+    return monotone_sup(stage)
 
 
 def compare_partial(x, y):
@@ -394,11 +392,13 @@ def compare_partial(x, y):
 
 def find_apart_witness(x, fuel):
     """An apartness-from-zero certificate from the stages up to fuel; None
-    if none passes.
+    if none fires.
 
-    The witness scan of is_positive run at fuel: its least passing stage k
-    gives the widest gap 2**-k, and recip_witnessed's precision offsets
-    grow with k.
+    is_positive's scan run at fuel gives the sign, and its least firing
+    stage k (the scan's _fired_at) the widest gap 2**-k; recip_witnessed's
+    precision offsets grow with k.  The search makes this one witness, and
+    the polls that led to it make none.
     """
-    out = _apart(x).run(fuel)
-    return None if out is PENDING else out.value
+    scan = is_positive(x)
+    out = scan.run(fuel)
+    return None if out is PENDING else ApartnessWitness(out.value, dyadic(scan._fired_at))

@@ -311,6 +311,30 @@ def test_nested_completion_closeness():
     assert not fires(t, 64)
 
 
+def test_nested_closeness_makes_each_stage_once(monkeypatch):
+    # each stage k of a C(C(Q)) closeness scan runs a nested close scan at
+    # eps - 2**-(k-1); stages up to 3 leave no room, and stage 12 is the
+    # least to fire.  At fuel 96 the outer scan polls its prefix at 64
+    # before it bisects, which must make stages 4..12 once each, in order,
+    # and none past 12
+    eps = Fraction(1, 4)
+    x = CompletionPoint(lambda d: eta(Fraction(0)))
+    y = CompletionPoint(lambda d: eta(eps - dyadic(10)))
+    stages = []
+    close = CompletionSpace.close
+
+    def counting(space, e, a, b):
+        stages.append(((eps - e) / 2).denominator.bit_length() - 1)
+        return close(space, e, a, b)
+
+    monkeypatch.setattr(CompletionSpace, "close", counting)
+    assert fires(close_semidecide(eps, x, y), 96)
+    assert stages == list(range(4, 13))
+    stages.clear()
+    assert not fires(close_semidecide(eps, x, y), 11)
+    assert stages == list(range(4, 12))
+
+
 def test_completion_space_close_is_one_sided():
     space = CompletionSpace(RATIONALS)
     assert space.close(Fraction(1, 2), eta(Fraction(0)), eta(Fraction(1, 4)))

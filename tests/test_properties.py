@@ -28,7 +28,6 @@ from cauchyreal import (PENDING, ApartnessWitness, CompletionPoint, Done, absolu
 from cauchyreal.cli import cmd_eval, decimal_digits, format_decimal
 from cauchyreal.completion import _operation
 from cauchyreal.rational import ceil_log2
-from cauchyreal.reals import _apart
 
 from oracles import (Abs, Add, Div, FromBelow, Max, Min, Mul, Neg, RatLit, Sub,
                      composed_absolute, composed_recip_witnessed, eval_exact,
@@ -294,14 +293,14 @@ def test_verdict_stages_are_monotone(node, offset, kind, warm):
         x.scaled(k)
         z.scaled(k)
     below_q = lt_rat_semidecide(x, q)._f
-    apart = _apart(z)._f
+    apart = is_positive(z)._f
     for k in range(80):
         if below_q(k).run(0) is not PENDING:
             assert below_q(k + 1).run(0) is not PENDING
         out = apart(k).run(0)
         if out is not PENDING:
             finer = apart(k + 1).run(0)
-            assert finer is not PENDING and finer.value.positive == out.value.positive
+            assert finer is not PENDING and finer.value == out.value
 
 
 def _leaning(q, up):

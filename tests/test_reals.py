@@ -1,4 +1,5 @@
 import gc
+import io
 import math
 import random
 import types
@@ -15,6 +16,7 @@ from cauchyreal import (ONE, PENDING, STAR, TOP, ZERO, ApartnessWitness,
                         lt_rat_semidecide, meet, mul, neg, never, parse,
                         recip_witnessed, scale, signed_sum, sub)
 
+from cauchyreal.cli import main
 from cauchyreal.completion import _magnitude, _operation
 from cauchyreal.premetric import RATIONALS
 from cauchyreal.reals import _Below
@@ -330,6 +332,36 @@ def test_witness_requires_positive_gap():
         ApartnessWitness(True, Fraction(0))
 
 
+def test_one_witness_per_search_and_none_per_verdict(monkeypatch):
+    # a verdict's firing polls answer shared outcomes and make no witness;
+    # a search makes one, from the scan's sign and least firing stage k, so
+    # on leaves, whose stages read no memo, its gap is 2**-k for the first
+    # k of a linear scan of the same stage rule, |x.scaled(k)| > 2
+    made = []
+    init = ApartnessWitness.__init__
+    monkeypatch.setattr(ApartnessWitness, "__init__",
+                        lambda self, positive, gap: made.append(gap) or init(self, positive, gap))
+    for argv in (["sign", "--", "below(0) - 1/1000"], ["sign", "--fuel", "256", "--", "-1/3"],
+                 ["compare", "--", "1/3", "below(1/3)"], ["compare", "1", "2"]):
+        assert main(argv, io.StringIO(), io.StringIO()) == 0
+    assert is_positive(sub(from_below(3), from_rat(Fraction(1, 7)))).run(200) == Done(True)
+    assert compare_partial(from_below(1), below(1)).run(300) is PENDING
+    assert made == []
+    rng = random.Random(83)
+    for _ in range(150):
+        q = rand_rat(rng) * dyadic(rng.randint(0, 90))
+        fuel = rng.randint(0, 200)
+        for leaf in (from_rat(q), from_below(q)):
+            made.clear()
+            witness = find_apart_witness(leaf, fuel)
+            first = next((k for k in range(fuel + 1) if abs(leaf.scaled(k)) > 2), None)
+            if first is None:
+                assert witness is None and made == []
+            else:
+                assert made == [dyadic(first)]
+                assert (witness.positive, witness.gap) == (q > 0, dyadic(first))
+
+
 def test_lt_rat_firing_stage_from_half():
     s = lt_rat_semidecide(from_rat(Fraction(1, 2)), Fraction(1))
     assert not fires(s, 2)
@@ -409,12 +441,13 @@ def test_lt_rat_polls_logarithmically_many_stages():
     polls = []
     s = lt_rat_semidecide(_recording_below_zero(polls), 0)
     assert s.run(256) is PENDING
-    assert polls == [0, 1, 2, 4, 8, 16, 32, 64, 128, 256]
-    # stage 12 is the first to fire on x < 2**-10; no stage past 2*11 + 4
+    assert polls == [0, 64, 128, 256]
+    # stage 12 is the first to fire on x < 2**-10; no stage past the larger
+    # of 2*11 + 4 and the first coarse stage after 0
     polls = []
     s = lt_rat_semidecide(_recording_below_zero(polls), dyadic(10))
     assert s.run(256) == Done(STAR)
-    assert max(polls) <= 2 * 11 + 4
+    assert max(polls) <= max(2 * 11 + 4, 64)
 
 
 def test_lt_rat_growing_fuel_polls_each_stage_once():
@@ -448,8 +481,8 @@ def test_lt_rat_polls_the_stage_before_the_last():
     assert [full_scan(wobbling([])).run(n) for n in (9, 10)] == [PENDING, Done(STAR)]
     polls = []
     assert lt_rat_semidecide(wobbling(polls), q).run(11) == Done(STAR)
-    assert polls == [0, 1, 2, 4, 8, 11, 10, 9]
-    for n in range(41):
+    assert polls == [0, 11, 6, 9, 10]
+    for n in range(200):
         assert lt_rat_semidecide(wobbling([]), q).run(n) == full_scan(wobbling([])).run(n)
 
 
